@@ -327,6 +327,8 @@ def _run_series(config, out):
 
 def _run_measure(config, out):
     mode = config.mode
+    if mode in ("delta-t", "dichotomy") and not config.psi:
+        raise PreconditionError(f"measure {mode} needs --psi")
     psi = parse_psi(config.psi) if config.psi else None
     reports = []
     if mode == "delta-t":
@@ -487,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for simultaneously small linear forms",
     )
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SMALLFORMS_THREADS", "1")),
+                        default=os.environ.get("SMALLFORMS_THREADS", "1"),
                         help="worker threads for sample batches")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

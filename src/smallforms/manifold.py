@@ -19,7 +19,6 @@ coefficients under eta, never surface measure; reports carry that label.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import BudgetExceededError, OutOfCubeError, PreconditionError
 from .forms import MatrixPoint, form_value
 from .functions import ApproximatingFunction, DimensionFunction
-from .measure import ExperimentReport, batch_has_witness
+from .measure import _cutoff_schedule, _seeded_source, _tail_reports, batch_has_witness
 from .search import SearchBudget, witnesses
 from .series import criterion_terms, _first_valid_r
 
@@ -226,18 +225,23 @@ def certify_A_membership(point: GammaPoint, psi: ApproximatingFunction,
 # ---------------------------------------------------------------------------
 
 def _sample_eta_batch(rng, count, m, n):
-    """Batch of full matrices from uniform base x coefficients (rejection on
-    near-dependent bases, redrawn from the same stream)."""
-    base = rng.random((count, m, m - 1)) - 0.5
-    for _ in range(64):
-        sv = np.linalg.svd(base, compute_uv=False)[..., -1]
-        bad = sv <= _BASE_SV_FLOOR
-        if not np.any(bad):
-            break
-        base[bad] = rng.random((int(bad.sum()), m, m - 1)) - 0.5
-    coeff = rng.random((count, n - m + 1, m - 1)) - 0.5
-    combos = np.einsum("smj,scj->smc", base, coeff)
-    return np.concatenate([base, combos], axis=2)  # (count, m, n)
+    """Batch of full matrices from uniform base x coefficients.
+
+    Rows with a near-dependent base, or whose combination columns leave the
+    cube (possible once m > 3), are redrawn from the same stream until every
+    row is valid, as in :func:`sample_gamma_points`.
+    """
+    out = np.empty((count, m, n))
+    todo = np.arange(count)
+    while todo.size:
+        base = rng.random((todo.size, m, m - 1)) - 0.5
+        coeff = rng.random((todo.size, n - m + 1, m - 1)) - 0.5
+        combos = np.einsum("smj,scj->smc", base, coeff)
+        good = np.linalg.svd(base, compute_uv=False)[..., -1] > _BASE_SV_FLOOR
+        good &= np.all(np.abs(combos) <= 0.5, axis=(1, 2))
+        out[todo[good]] = np.concatenate([base, combos], axis=2)[good]
+        todo = todo[~good]
+    return out
 
 
 def sample_gamma_points(m, n, count, seed) -> list:
@@ -271,54 +275,20 @@ def gamma_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
     """
     if not 2 <= m <= n:
         raise PreconditionError("need 2 <= m <= n")
-    schedule = sorted(set(int(N) for N in n_schedule))
-    if not schedule or schedule[0] < 1 or schedule[-1] > q_max:
-        raise PreconditionError("cutoffs must satisfy 1 <= N <= Q")
+    schedule = _cutoff_schedule(n_schedule, q_max)
     c = absorption_constant(m)
-    # matrices are drawn per fixed-size batch from spawned substreams so the
-    # counts are independent of the thread schedule
-    batch_size = 1024
-    n_batches = (samples + batch_size - 1) // batch_size
-    children = np.random.SeedSequence(seed).spawn(n_batches)
-
-    def run_one(i):
-        size = batch_size if (i + 1) * batch_size <= samples else samples - i * batch_size
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        xs = _sample_eta_batch(rng, size, m, n)
-        counts = np.zeros(len(schedule), dtype=np.int64)
-        found = np.zeros(size, dtype=bool)
-        for j in range(len(schedule) - 1, -1, -1):
-            todo = np.nonzero(~found)[0]
-            if todo.size:
-                found[todo] |= batch_has_witness(xs[todo], psi, schedule[j], q_max, scale=c)
-            counts[j] = found.sum()
-        return counts
-
-    start = time.perf_counter()
-    if threads <= 1:
-        parts = [run_one(i) for i in range(n_batches)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_one, range(n_batches)))
-    counts = np.sum(np.asarray(parts), axis=0)
-    duration = time.perf_counter() - start
-    return [
-        ExperimentReport(
-            "gamma-dichotomy",
-            {"m": m, "n": n, "psi": psi.spec(), "N": N, "Q": q_max, "c": c,
-             "measure": GAMMA_MEASURE_LABEL},
-            seed,
-            samples,
-            int(cnt),
-            parameter="N",
-            parameter_value=float(N),
-            duration_s=duration,
-            extras={"schedule": tuple(schedule), "measure": GAMMA_MEASURE_LABEL},
-        )
-        for N, cnt in zip(schedule, counts)
-    ]
+    # matrices are drawn per fixed-size batch (1024, which fixes the seeded
+    # streams) from spawned substreams so the counts are independent of the
+    # thread schedule
+    source = _seeded_source(samples, seed, lambda rng, size: _sample_eta_batch(rng, size, m, n),
+                            batch=1024)
+    return _tail_reports(
+        "gamma-dichotomy", m, n, psi, schedule, q_max, source,
+        lambda xs, N: batch_has_witness(xs, psi, N, q_max, scale=c),
+        seed, threads,
+        {"c": c, "measure": GAMMA_MEASURE_LABEL},
+        {"schedule": tuple(schedule), "measure": GAMMA_MEASURE_LABEL},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +325,7 @@ def constant_absorption_check(m, n, f: DimensionFunction, psi: ApproximatingFunc
         )
     c1 = float(c) ** (-sheet)
     psi_scaled = psi.scaled(1.0 / c)
-    r0 = max(_first_valid_r(f, psi), _first_valid_r(f, psi_scaled))
+    r0 = max(_first_valid_r(f, psi.big_psi), _first_valid_r(f, psi_scaled.big_psi))
     r = np.arange(r0, horizon + 1, dtype=float)
     sums = np.cumsum(criterion_terms(m, n, f, psi, r))
     sums_c = np.cumsum(criterion_terms(m, n, f, psi_scaled, r))

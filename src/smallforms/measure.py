@@ -2,10 +2,13 @@
 unions, plus the deterministic quadrature oracles the estimates are checked
 against.
 
-Sampling is batched: each batch of fixed size draws from a child stream of
-``SeedSequence(master_seed)``, and per-batch hit counts are merged by batch
-index, so reports are bit-identical for a fixed master seed no matter how
-many worker threads execute the batches.
+Every estimator runs one loop.  A point source ``(points, n_batches, make)``
+builds batch i from i alone: seeded draws (uniform, or eta on the variety)
+from child i of ``SeedSequence(master_seed)``, or chunk i of a midpoint grid
+or Kronecker sequence.  The runner ``_run`` has each worker thread build and
+test its own batch, so at most ``threads`` batches are alive at once, and sums
+the counts in batch order, so reports are bit-identical for a fixed master
+seed at any thread count.  Counts below 1 raise :class:`PreconditionError`.
 
 Membership in a union of neighborhoods is decided either by the cached-shell
 scan (every canonical q in the relevant height range against every sample)
@@ -25,7 +28,8 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError
 from .forms import DISTANCE_CONVENTION
 from .functions import ApproximatingFunction
-from .search import _interval_bounds, _k_range, _tails, band_vectors, dirichlet_bound
+from .search import (_dyadic_tail_blocks, _interval_bounds, _k_range, _tails, band_vectors,
+                     dirichlet_bound)
 
 __all__ = [
     "ExperimentReport",
@@ -147,66 +151,103 @@ def reports_to_csv_rows(reports):
 
 
 # ---------------------------------------------------------------------------
-# deterministic sample / quadrature point sources
+# point sources and the batch runner
 # ---------------------------------------------------------------------------
 
-def _uniform_batches(dim, samples, seed, batch=_BATCH):
-    """Deterministic batched uniforms on [-1/2, 1/2)^dim keyed by batch index."""
-    n_batches = (samples + batch - 1) // batch
+def _batch_count(points, batch):
+    if points < 1:
+        raise PreconditionError(f"sample and point counts must be >= 1, got {points}")
+    return (points + batch - 1) // batch
+
+
+def _seeded_source(samples, seed, draw, batch=_BATCH):
+    """Batch i is ``draw(rng, size)`` with rng on child i of SeedSequence(seed)."""
+    n_batches = _batch_count(samples, batch)
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    for i in range(n_batches):
-        size = batch if (i + 1) * batch <= samples else samples - i * batch
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        yield rng.random((size, dim)) - 0.5
+
+    def make(i):
+        size = min(batch, samples - i * batch)
+        return draw(np.random.Generator(np.random.PCG64(children[i])), size)
+
+    return samples, n_batches, make
 
 
-def _grid_batches(dim, res, batch=_BATCH):
-    """Midpoint-rule grid on the cube, streamed in index chunks."""
+def _uniform_draw(dim):
+    """Draw for :func:`_seeded_source`: uniforms on [-1/2, 1/2)^dim."""
+    return lambda rng, size: rng.random((size, dim)) - 0.5
+
+
+def _grid_source(dim, res, batch=_BATCH):
+    """Midpoint-rule grid on the cube, cut into index chunks."""
+    if res < 1:
+        raise PreconditionError(f"grid resolution must be >= 1, got {res}")
     total = res ** dim
-    for start in range(0, total, batch):
-        ids = np.arange(start, min(start + batch, total), dtype=np.int64)
+
+    def make(i):
+        ids = np.arange(i * batch, min((i + 1) * batch, total), dtype=np.int64)
         pts = np.empty((len(ids), dim))
         rem = ids
         for axis in range(dim - 1, -1, -1):
             pts[:, axis] = (rem % res + 0.5) / res - 0.5
             rem = rem // res
-        yield pts
+        return pts
+
+    return total, _batch_count(total, batch), make
 
 
 _KRONECKER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
-def _kronecker_batches(dim, count, batch=_BATCH):
+def _kronecker_source(dim, count, batch=_BATCH):
     """Low-discrepancy Kronecker sequence x_k = frac(k alpha) - 1/2.
 
     The irrational generators frac(sqrt(p)) avoid the arithmetic alignment a
     rational lattice would have with integer linear forms.
     """
     alpha = np.array([math.sqrt(p) % 1.0 for p in _KRONECKER_PRIMES[:dim]])
-    for start in range(0, count, batch):
-        ks = np.arange(start + 1, min(start + batch, count) + 1, dtype=np.float64)
-        yield (ks[:, None] * alpha[None, :] + 0.5) % 1.0 - 0.5
+
+    def make(i):
+        ks = np.arange(i * batch + 1, min((i + 1) * batch, count) + 1, dtype=np.float64)
+        return (ks[:, None] * alpha[None, :] + 0.5) % 1.0 - 0.5
+
+    return count, _batch_count(count, batch), make
 
 
-def _run_batches(batches, tester, threads=1):
-    """Apply ``tester`` (batch array -> int or int vector) with deterministic merge.
+def _run(source, tester, threads=1):
+    """Sum ``tester`` (batch array -> int or int vector) over a source.
 
-    Batches are streamed, not materialized; counts are merged in batch-index
-    order so thread scheduling cannot change the result.
+    Each task builds its own batch from its index, so at most ``threads``
+    batches are alive at once; counts are merged in batch-index order so
+    thread scheduling cannot change the result.  Returns (counts, points).
     """
-    sizes = []
-
-    def record(batch):
-        sizes.append(len(batch))
-        return batch
-
-    stream = (record(b) for b in batches)
+    points, n_batches, make = source
     if threads <= 1:
-        parts = [tester(b) for b in stream]
+        parts = [tester(make(i)) for i in range(n_batches)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(tester, stream))
-    return np.sum(np.asarray(parts), axis=0), sum(sizes)
+            parts = list(pool.map(lambda i: tester(make(i)), range(n_batches)))
+    return np.sum(np.asarray(parts), axis=0), points
+
+
+def _cutoff_schedule(n_schedule, q_max):
+    """Sorted distinct cutoffs N of a tail dichotomy, checked 1 <= N <= Q."""
+    schedule = sorted(set(int(N) for N in n_schedule))
+    if q_max is None or not schedule or schedule[0] < 1 or schedule[-1] > q_max:
+        raise PreconditionError(f"cutoffs must satisfy 1 <= N <= Q; got N in {schedule}, Q={q_max}")
+    return schedule
+
+
+def _nested_hits(xs, schedule, has_witness):
+    """Hit counts per ascending cutoff N, largest N first so only its misses
+    are retested; ``has_witness(xs, N)`` masks the samples with a witness."""
+    counts = np.zeros(len(schedule), dtype=np.int64)
+    found = np.zeros(len(xs), dtype=bool)
+    for i in range(len(schedule) - 1, -1, -1):
+        todo = np.nonzero(~found)[0]
+        if todo.size:
+            found[todo] |= has_witness(xs[todo], schedule[i])
+        counts[i] = found.sum()
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +279,6 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
     return out
 
 
-def _height_blocks(tail_heights, q_max):
-    """Contiguous dyadic slices of a height-sorted tail array."""
-    bounds = [0]
-    h = 2
-    while h < q_max:
-        bounds.append(h)
-        h *= 2
-    bounds.append(q_max)
-    slices = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        a = int(np.searchsorted(tail_heights, lo, side="right"))
-        b = int(np.searchsorted(tail_heights, hi, side="right"))
-        if b > a:
-            slices.append(slice(a, b))
-    return slices
-
-
 def _psi_witness_mask_n1(xs, thr_by_height, n_min, q_max):
     """Single-form fast path: any q with n_min <= |q| <= q_max and
     |q.x| < thr(|q|), thr non-increasing and convex on integer heights.
@@ -279,7 +303,7 @@ def _psi_witness_mask_n1(xs, thr_by_height, n_min, q_max):
 
     tails, th_all = _tails(m, q_max)
     thr = np.asarray(thr_by_height, dtype=float)
-    for block in _height_blocks(th_all, q_max):
+    for _, block in _dyadic_tail_blocks(th_all, q_max):
         alive = np.nonzero(~out)[0]
         if alive.size == 0:
             break
@@ -395,7 +419,7 @@ def _rho_witness_mask_n1(xs, rho, height_cap):
 
     tails, th_all = _tails(m, height_cap)
     cap_f = float(height_cap)
-    for block in _height_blocks(th_all, height_cap):
+    for _, block in _dyadic_tail_blocks(th_all, height_cap):
         alive = np.nonzero(~out)[0]
         if alive.size == 0:
             break
@@ -460,6 +484,38 @@ def batch_has_witness(xs, psi: ApproximatingFunction, n_min, q_max, scale=1.0):
 # operations
 # ---------------------------------------------------------------------------
 
+def _report(experiment, params, seed, total, hits, parameter, start, extras):
+    """One report timed from ``start``; ``params[parameter]`` is the swept value."""
+    return ExperimentReport(experiment, params, seed, int(total), int(hits), parameter=parameter,
+                            parameter_value=float(params[parameter]),
+                            duration_s=time.perf_counter() - start, extras=dict(extras))
+
+
+def _delta_t(experiment, m, n, psi, t, k, source, seed, threads, budget, params, extras):
+    """Shared body of :func:`estimate_delta_t` and :func:`delta_t_quadrature`."""
+    if t < 1:
+        raise PreconditionError("t must be >= 1")
+    h_lo = max(1, math.ceil(k ** (t - 1)))
+    h_hi = math.floor(k ** t)
+    vecs, heights = band_vectors(m, h_lo, h_hi)
+    if len(vecs) * source[0] * n > budget:
+        raise BudgetExceededError("height band too large for this many points")
+    norms = np.linalg.norm(vecs.astype(float), axis=1)
+    thr = psi.big_psi(heights.astype(float)) * norms
+    start = time.perf_counter()
+    hits, total = _run(
+        source,
+        lambda b: int(_direct_union_mask(b.reshape(len(b), m, n), vecs, thr, True).sum()),
+        threads,
+    )
+    return _report(
+        experiment,
+        {"m": m, "n": n, "psi": psi.spec(), "t": t, "k": k, **params},
+        seed, total, hits, "t", start,
+        {"band": (h_lo, h_hi), "q_count": len(vecs), **extras},
+    )
+
+
 def estimate_delta_t(m, n, psi: ApproximatingFunction, t, k=2.0, samples=10_000,
                      seed=0, threads=1) -> ExperimentReport:
     """Fraction of the cube covered by the height-band neighborhood union.
@@ -467,60 +523,15 @@ def estimate_delta_t(m, n, psi: ApproximatingFunction, t, k=2.0, samples=10_000,
     Tests X against union of Delta(R_q, Psi(|q|)) over k^(t-1) <= |q| <= k^t
     with the max-column-euclidean distance convention.
     """
-    if t < 1:
-        raise PreconditionError("t must be >= 1")
-    h_lo = max(1, math.ceil(k ** (t - 1)))
-    h_hi = math.floor(k ** t)
-    vecs, heights = band_vectors(m, h_lo, h_hi)
-    if len(vecs) * samples * n > _SCAN_BUDGET:
-        raise BudgetExceededError("height band too large for the sample budget")
-    norms = np.linalg.norm(vecs.astype(float), axis=1)
-    thr = psi.big_psi(heights.astype(float)) * norms
-    start = time.perf_counter()
-    hits, total = _run_batches(
-        _uniform_batches(m * n, samples, seed),
-        lambda b: int(_direct_union_mask(b.reshape(len(b), m, n), vecs, thr, True).sum()),
-        threads,
-    )
-    return ExperimentReport(
-        "delta-t",
-        {"m": m, "n": n, "psi": psi.spec(), "t": t, "k": k},
-        seed,
-        total,
-        int(hits),
-        parameter="t",
-        parameter_value=float(t),
-        duration_s=time.perf_counter() - start,
-        extras={"band": (h_lo, h_hi), "q_count": len(vecs)},
-    )
+    source = _seeded_source(samples, seed, _uniform_draw(m * n))
+    return _delta_t("delta-t", m, n, psi, t, k, source, seed, threads, _SCAN_BUDGET, {}, {})
 
 
 def delta_t_quadrature(m, n, psi, t, k=2.0, resolution=256) -> ExperimentReport:
     """Deterministic midpoint-grid version of :func:`estimate_delta_t`."""
-    h_lo = max(1, math.ceil(k ** (t - 1)))
-    h_hi = math.floor(k ** t)
-    vecs, heights = band_vectors(m, h_lo, h_hi)
-    total_pts = resolution ** (m * n)
-    if len(vecs) * total_pts * n > 4 * _SCAN_BUDGET:
-        raise BudgetExceededError("grid too fine for this height band")
-    norms = np.linalg.norm(vecs.astype(float), axis=1)
-    thr = psi.big_psi(heights.astype(float)) * norms
-    start = time.perf_counter()
-    hits, total = _run_batches(
-        _grid_batches(m * n, resolution),
-        lambda b: int(_direct_union_mask(b.reshape(len(b), m, n), vecs, thr, True).sum()),
-    )
-    return ExperimentReport(
-        "delta-t-quadrature",
-        {"m": m, "n": n, "psi": psi.spec(), "t": t, "k": k, "resolution": resolution},
-        None,
-        total,
-        int(hits),
-        parameter="t",
-        parameter_value=float(t),
-        duration_s=time.perf_counter() - start,
-        extras={"band": (h_lo, h_hi), "q_count": len(vecs), "method": "midpoint-grid"},
-    )
+    return _delta_t("delta-t-quadrature", m, n, psi, t, k, _grid_source(m * n, resolution),
+                    None, 1, 4 * _SCAN_BUDGET, {"resolution": resolution},
+                    {"method": "midpoint-grid"})
 
 
 def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> ExperimentReport:
@@ -536,25 +547,18 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
     cutoff = 2.0 ** t / float(omega(t))
     height_cap = math.ceil(cutoff) - 1
     bound = dirichlet_bound(m, n, t)
+    source = _seeded_source(samples, seed, _uniform_draw(m * n))
     start = time.perf_counter()
-    if height_cap < 1:
-        hits, total = 0, samples
-    else:
-        hits, total = _run_batches(
-            _uniform_batches(m * n, samples, seed),
-            lambda b: int(_const_witness_mask(b.reshape(len(b), m, n), bound, height_cap).sum()),
-            threads,
-        )
-    return ExperimentReport(
+    hits, total = _run(
+        source,
+        lambda b: int(_const_witness_mask(b.reshape(len(b), m, n), bound, height_cap).sum()),
+        threads,
+    )
+    return _report(
         "excess-height",
         {"m": m, "n": n, "t": t, "omega_t": float(omega(t))},
-        seed,
-        total,
-        int(hits),
-        parameter="t",
-        parameter_value=float(t),
-        duration_s=time.perf_counter() - start,
-        extras={"height_cap": height_cap, "bound": bound},
+        seed, total, hits, "t", start,
+        {"height_cap": height_cap, "bound": bound},
     )
 
 
@@ -567,17 +571,12 @@ def _ball_window(ball_center, ball_radius, dim):
     return center, float(ball_radius)
 
 
-def ubiquity_density(m, n, config, t, samples=10_000, seed=0,
-                     ball_center=None, ball_radius=0.5, threads=1) -> ExperimentReport:
-    """Density of the rho-neighborhood union Delta(rho, t) inside a window.
-
-    The window is the sup-norm ball [center - r, center + r]^(mn); membership
-    means some 0 < |q| <= k^t has dist(X, R_q) <= rho(t).
-    """
+def _ubiquity(experiment, m, n, config, t, source, seed, threads, center, radius,
+              params, extras):
+    """Shared body of :func:`ubiquity_density` and :func:`ubiquity_quadrature`."""
     if t < 1:
         raise PreconditionError("t must be >= 1")
     config.validate_omega(np.arange(1.0, 33.0))
-    center, radius = _ball_window(ball_center, ball_radius, m * n)
     height_cap = math.floor(config.k ** t)
     rho = float(config.rho(t))
 
@@ -593,63 +592,56 @@ def ubiquity_density(m, n, config, t, samples=10_000, seed=0,
         return int(mask.sum())
 
     if n != 1:
-        est = ((2 * height_cap + 1) ** m // 2) * samples * n
+        est = ((2 * height_cap + 1) ** m // 2) * source[0] * n
         if est > _SCAN_BUDGET:
             raise BudgetExceededError("J(t) too large for the direct scan at this sample count")
     start = time.perf_counter()
-    hits, total = _run_batches(_uniform_batches(m * n, samples, seed), tester, threads)
-    return ExperimentReport(
-        "ubiquity-density",
-        {
-            "m": m,
-            "n": n,
-            "t": t,
-            "k": config.k,
-            "rho_t": rho,
-            "ball_center": tuple(center),
-            "ball_radius": radius,
-        },
-        seed,
-        total,
-        int(hits),
-        parameter="t",
-        parameter_value=float(t),
-        duration_s=time.perf_counter() - start,
-        extras={"height_cap": height_cap},
+    hits, total = _run(source, tester, threads)
+    return _report(
+        experiment,
+        {"m": m, "n": n, "t": t, "k": config.k, "rho_t": rho, **params},
+        seed, total, hits, "t", start,
+        {"height_cap": height_cap, **extras},
     )
+
+
+def ubiquity_density(m, n, config, t, samples=10_000, seed=0,
+                     ball_center=None, ball_radius=0.5, threads=1) -> ExperimentReport:
+    """Density of the rho-neighborhood union Delta(rho, t) inside a window.
+
+    The window is the sup-norm ball [center - r, center + r]^(mn); membership
+    means some 0 < |q| <= k^t has dist(X, R_q) <= rho(t).
+    """
+    center, radius = _ball_window(ball_center, ball_radius, m * n)
+    source = _seeded_source(samples, seed, _uniform_draw(m * n))
+    return _ubiquity("ubiquity-density", m, n, config, t, source, seed, threads, center, radius,
+                     {"ball_center": tuple(center), "ball_radius": radius}, {})
 
 
 def ubiquity_quadrature(m, n, config, t, resolution=256,
                         ball_center=None, ball_radius=0.5) -> ExperimentReport:
     """Midpoint-grid version of :func:`ubiquity_density` over the window."""
     center, radius = _ball_window(ball_center, ball_radius, m * n)
-    height_cap = math.floor(config.k ** t)
-    rho = float(config.rho(t))
+    return _ubiquity("ubiquity-quadrature", m, n, config, t, _grid_source(m * n, resolution),
+                     None, 1, center, radius, {"resolution": resolution},
+                     {"method": "midpoint-grid"})
+
+
+def _tail_reports(experiment, m, n, psi, schedule, q_max, source, has_witness, seed, threads,
+                  params, extras):
+    """Shared body of the tail dichotomies: one report per cutoff N in ``schedule``,
+    counting the points of ``source`` with ``has_witness(xs, N)``."""
     start = time.perf_counter()
-
-    def tester(batch):
-        pts = center[None, :] + (2 * radius) * batch
-        xs = pts.reshape(len(pts), m, n)
-        if n == 1 and m >= 2:
-            mask = _rho_witness_mask_n1(xs.reshape(len(xs), m), rho, height_cap)
-        else:
-            vecs, _ = band_vectors(m, 1, height_cap)
-            norms = np.linalg.norm(vecs.astype(float), axis=1)
-            mask = _direct_union_mask(xs, vecs, rho * norms, inclusive=True)
-        return int(mask.sum())
-
-    hits, total = _run_batches(_grid_batches(m * n, resolution), tester)
-    return ExperimentReport(
-        "ubiquity-quadrature",
-        {"m": m, "n": n, "t": t, "k": config.k, "rho_t": rho, "resolution": resolution},
-        None,
-        total,
-        int(hits),
-        parameter="t",
-        parameter_value=float(t),
-        duration_s=time.perf_counter() - start,
-        extras={"height_cap": height_cap, "method": "midpoint-grid"},
+    counts, total = _run(
+        source,
+        lambda b: _nested_hits(b.reshape(len(b), m, n), schedule, has_witness),
+        threads,
     )
+    return [
+        _report(experiment, {"m": m, "n": n, "psi": psi.spec(), "N": N, "Q": q_max, **params},
+                seed, total, c, "N", start, extras)
+        for N, c in zip(schedule, counts)
+    ]
 
 
 def tail_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
@@ -660,38 +652,13 @@ def tail_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
     so each batch is tested at the largest cutoff first and only the misses
     are retested at smaller cutoffs.
     """
-    schedule = sorted(set(int(N) for N in n_schedule))
-    if not schedule or schedule[0] < 1 or schedule[-1] > q_max:
-        raise PreconditionError("cutoffs must satisfy 1 <= N <= Q")
-
-    def tester(batch):
-        xs = batch.reshape(len(batch), m, n)
-        counts = np.zeros(len(schedule), dtype=np.int64)
-        found = np.zeros(len(batch), dtype=bool)
-        for i in range(len(schedule) - 1, -1, -1):
-            todo = np.nonzero(~found)[0]
-            if todo.size:
-                found[todo] |= batch_has_witness(xs[todo], psi, schedule[i], q_max)
-            counts[i] = found.sum()
-        return counts
-
-    start = time.perf_counter()
-    counts, total = _run_batches(_uniform_batches(m * n, samples, seed), tester, threads)
-    duration = time.perf_counter() - start
-    return [
-        ExperimentReport(
-            "tail-dichotomy",
-            {"m": m, "n": n, "psi": psi.spec(), "N": N, "Q": q_max},
-            seed,
-            total,
-            int(c),
-            parameter="N",
-            parameter_value=float(N),
-            duration_s=duration,
-            extras={"schedule": tuple(schedule)},
-        )
-        for N, c in zip(schedule, counts)
-    ]
+    schedule = _cutoff_schedule(n_schedule, q_max)
+    return _tail_reports(
+        "tail-dichotomy", m, n, psi, schedule, q_max,
+        _seeded_source(samples, seed, _uniform_draw(m * n)),
+        lambda xs, N: batch_has_witness(xs, psi, N, q_max),
+        seed, threads, {}, {"schedule": tuple(schedule)},
+    )
 
 
 def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16, kind="kronecker",
@@ -705,27 +672,13 @@ def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16, kind="kronecker",
     if kind == "grid":
         if resolution is None:
             raise PreconditionError("grid quadrature needs a resolution")
-        batches = _grid_batches(m * n, resolution)
-        total_pts = resolution ** (m * n)
+        source = _grid_source(m * n, resolution)
     elif kind == "kronecker":
-        batches = _kronecker_batches(m * n, points)
-        total_pts = points
+        source = _kronecker_source(m * n, points)
     else:
         raise PreconditionError(f"unknown quadrature kind {kind!r}")
-    start = time.perf_counter()
-    hits, total = _run_batches(
-        batches,
-        lambda b: int(batch_has_witness(b.reshape(len(b), m, n), psi, n_min, q_max).sum()),
-    )
-    assert total == total_pts
-    return ExperimentReport(
-        "tail-quadrature",
-        {"m": m, "n": n, "psi": psi.spec(), "N": n_min, "Q": q_max, "kind": kind},
-        None,
-        total,
-        int(hits),
-        parameter="N",
-        parameter_value=float(n_min),
-        duration_s=time.perf_counter() - start,
-        extras={"method": kind},
-    )
+    return _tail_reports(
+        "tail-quadrature", m, n, psi, [n_min], q_max, source,
+        lambda xs, N: batch_has_witness(xs, psi, N, q_max),
+        None, 1, {"kind": kind}, {"method": kind},
+    )[0]

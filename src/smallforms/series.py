@@ -93,16 +93,16 @@ def criterion_terms(m, n, f: DimensionFunction, psi: ApproximatingFunction, r):
     return float(out) if np.ndim(r) == 0 else out
 
 
-def _first_valid_r(f, psi, limit=1 << 12):
-    """Smallest integer height at which the term is defined (Psi < 1 for
-    power-log f)."""
+def _first_valid_r(f, g, limit=1 << 12):
+    """Smallest integer height at which the term is defined: 1 for power f,
+    else the first r with g(r) < 1 (g is Psi, or psi in the sum comparison)."""
     if f.family == "power":
         return 1
     r = 1
-    while r <= limit and psi.big_psi(float(r)) >= 1:
+    while r <= limit and g(float(r)) >= 1:
         r += 1
     if r > limit:
-        raise PreconditionError("Psi(r) never drops below 1 on the probe range")
+        raise PreconditionError("the threshold never drops below 1 on the probe range")
     return r
 
 
@@ -133,7 +133,7 @@ def classify_series(m, n, f: DimensionFunction, psi: ApproximatingFunction,
         return SeriesBehavior(convergent, "closed-form", e_exp, k_exp)
 
     # table psi: compare partial-sum increments on doubling windows
-    r0 = _first_valid_r(f, psi)
+    r0 = _first_valid_r(f, psi.big_psi)
     r_vals = np.arange(r0, horizon + 1, dtype=float)
     partial = np.cumsum(criterion_terms(m, n, f, psi, r_vals))
     checkpoints = [partial[min(len(partial), (horizon >> k)) - 1] for k in (2, 1, 0)]
@@ -301,7 +301,7 @@ def build_omega(m, n, f: DimensionFunction, psi: ApproximatingFunction,
         raise PreconditionError("block construction needs a divergent criterion sum")
     if horizon < 8:
         raise HorizonTooSmallError("horizon too small to build blocks")
-    r0 = _first_valid_r(f, psi)
+    r0 = _first_valid_r(f, psi.big_psi)
     r_vals = np.arange(1, horizon + 1, dtype=float)
     terms = np.zeros(horizon)
     terms[r0 - 1 :] = criterion_terms(m, n, f, psi, r_vals[r0 - 1 :])
@@ -354,7 +354,7 @@ def sum_equivalence_check(alpha, beta, psi: ApproximatingFunction,
     if t_max < 4:
         raise HorizonTooSmallError("horizon admits fewer than 4 dyadic checkpoints")
 
-    r0 = 1 if f.family == "power" else _first_valid_r_for(psi, f)
+    r0 = _first_valid_r(f, psi)
     r_vals = np.arange(r0, horizon + 1, dtype=float)
     linear_terms = r_vals ** (alpha - 1) * f(psi(r_vals)) * psi(r_vals) ** beta
     linear_cum = np.cumsum(linear_terms)
@@ -381,13 +381,3 @@ def sum_equivalence_check(alpha, beta, psi: ApproximatingFunction,
     ts = np.arange(len(tail), dtype=float)
     slope = float(np.polyfit(ts, tail, 1)[0]) if len(tail) >= 2 else 0.0
     return SumEquivalenceReport(abs(slope) < 0.02, band, tuple(float(x) for x in ratios))
-
-
-def _first_valid_r_for(psi, f, limit=1 << 12):
-    """Smallest r with psi(r) < 1 (needed when f is power-log)."""
-    r = 1
-    while r <= limit and psi(float(r)) >= 1:
-        r += 1
-    if r > limit:
-        raise PreconditionError("psi(r) never drops below 1 on the probe range")
-    return r

@@ -172,6 +172,28 @@ class TestDispatch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("env, argv", [
+        ({}, ["measure", "e-t", "--m", "3", "--t", "4", "--samples", "0", "--seed", "1"]),
+        ({}, ["measure", "e-t", "--m", "3", "--t", "4", "--samples", "-5", "--seed", "1"]),
+        ({}, ["measure", "dichotomy", "--psi", "pow:1,2", "--N-schedule", "2", "--Q", "8",
+              "--samples", "0", "--seed", "1"]),
+        ({}, ["manifold", "gamma-dichotomy", "--m", "2", "--n", "2", "--psi", "pow:1,1",
+              "--N-schedule", "2", "--Q", "8", "--samples", "0", "--seed", "1"]),
+        ({}, ["measure", "dichotomy", "--psi", "pow:1,2", "--N-schedule", "2", "--seed", "1"]),
+        ({}, ["manifold", "gamma-dichotomy", "--m", "2", "--n", "2", "--psi", "pow:1,1",
+              "--N-schedule", "2", "--seed", "1"]),
+        ({}, ["measure", "delta-t", "--t", "3", "--samples", "10", "--seed", "1"]),
+        ({}, ["measure", "dichotomy", "--N-schedule", "2", "--Q", "8", "--seed", "1"]),
+        ({"SMALLFORMS_THREADS": "abc"}, ["dimension", "--tau", "2"]),
+    ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
+            "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
+            "dichotomy-no-psi", "threads-env-not-int"])
+    def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_budget_exit_code(self):
         code, _ = run_capture(
             ["measure", "delta-t", "--m", "3", "--n", "1", "--psi", "pow:1,1",

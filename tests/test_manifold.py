@@ -19,7 +19,7 @@ from smallforms import (
     witnesses,
 )
 from smallforms.errors import BudgetExceededError, OutOfCubeError
-from smallforms.manifold import absorption_constant, sample_gamma_points
+from smallforms.manifold import _sample_eta_batch, absorption_constant, sample_gamma_points
 
 
 class TestMinorDefect:
@@ -196,6 +196,13 @@ class TestGammaDichotomy:
         psi = ApproximatingFunction.power(1.0, 1.0)
         with pytest.raises(PreconditionError):
             gamma_dichotomy(3, 2, psi, (2,), 8, samples=10, seed=0)
+
+    def test_eta_batches_stay_in_the_cube(self):
+        # at m = 4 a combination column can leave the cube (sum |a_j| reaches 3/2)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
+        xs = _sample_eta_batch(rng, 1024, 4, 4)
+        assert np.all(np.abs(xs) <= 0.5)
+        assert np.all(np.abs(np.linalg.det(xs)) <= 1e-12)
 
 
 class TestConstantAbsorption:

@@ -196,10 +196,10 @@ class TestExcessHeight:
         cap = math.ceil(2 ** t / omega(t)) - 1
         mc = estimate_E_t(2, 1, omega, t, samples=30_000, seed=13)
 
-        from smallforms.measure import _grid_batches, _run_batches
+        from smallforms.measure import _grid_source, _run
 
-        hits, total = _run_batches(
-            _grid_batches(2, 1024),
+        hits, total = _run(
+            _grid_source(2, 1024),
             lambda b: int(_const_witness_mask(b.reshape(len(b), 2, 1), bound, cap).sum()),
         )
         grid_est = hits / total
