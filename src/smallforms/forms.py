@@ -67,6 +67,8 @@ class MatrixPoint:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.size == 0:
             raise PreconditionError("entries must be a nonempty m x n matrix")
+        if not np.all(np.isfinite(a)):
+            raise PreconditionError("entries must be finite")
         if np.any(np.abs(a) > 0.5):
             raise PreconditionError("entries must lie in [-1/2, 1/2]")
         a = a.copy()

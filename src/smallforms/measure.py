@@ -580,21 +580,24 @@ def _ubiquity(experiment, m, n, config, t, source, seed, threads, center, radius
     height_cap = math.floor(config.k ** t)
     rho = float(config.rho(t))
 
-    def tester(batch):
-        pts = center[None, :] + (2 * radius) * batch   # batch is uniform on [-1/2,1/2)
-        xs = pts.reshape(len(pts), m, n)
-        if n == 1 and m >= 2:
-            mask = _rho_witness_mask_n1(xs.reshape(len(xs), m), rho, height_cap)
-        else:
-            vecs, _ = band_vectors(m, 1, height_cap)
-            norms = np.linalg.norm(vecs.astype(float), axis=1)
-            mask = _direct_union_mask(xs, vecs, rho * norms, inclusive=True)
-        return int(mask.sum())
-
     if n != 1:
         est = ((2 * height_cap + 1) ** m // 2) * source[0] * n
         if est > _SCAN_BUDGET:
             raise BudgetExceededError("J(t) too large for the direct scan at this sample count")
+    fast = n == 1 and m >= 2
+    if not fast:
+        vecs, _ = band_vectors(m, 1, height_cap)
+        thresholds = rho * np.linalg.norm(vecs.astype(float), axis=1)
+
+    def tester(batch):
+        pts = center[None, :] + (2 * radius) * batch   # batch is uniform on [-1/2,1/2)
+        xs = pts.reshape(len(pts), m, n)
+        if fast:
+            mask = _rho_witness_mask_n1(xs.reshape(len(xs), m), rho, height_cap)
+        else:
+            mask = _direct_union_mask(xs, vecs, thresholds, inclusive=True)
+        return int(mask.sum())
+
     start = time.perf_counter()
     hits, total = _run(source, tester, threads)
     return _report(
@@ -623,7 +626,8 @@ def ubiquity_quadrature(m, n, config, t, resolution=256,
     """Midpoint-grid version of :func:`ubiquity_density` over the window."""
     center, radius = _ball_window(ball_center, ball_radius, m * n)
     return _ubiquity("ubiquity-quadrature", m, n, config, t, _grid_source(m * n, resolution),
-                     None, 1, center, radius, {"resolution": resolution},
+                     None, 1, center, radius,
+                     {"ball_center": tuple(center), "ball_radius": radius, "resolution": resolution},
                      {"method": "midpoint-grid"})
 
 

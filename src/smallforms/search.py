@@ -4,22 +4,24 @@ the inverse-matrix height obstruction.
 
 Two engines back the public operations:
 
-* the *enumeration engine* walks canonical height shells (one representative
-  per +-q pair, heights ascending, lexicographic within a shell) either as a
-  cached vectorized array or as a pruned depth-first search;
-* the *interval engine* fixes the trailing m-1 coordinates ("tail") and
-  solves for the admissible leading coordinate analytically, which turns the
-  per-vector scan into a per-tail scan.  It is what makes desk-scale heights
-  like 2^10 affordable.
+* the *naive oracle* materializes the canonical height shells (one
+  representative per +-q pair, heights ascending, lexicographic within a
+  shell) and evaluates every vector of the band;
+* the *per-tail interval engine* fixes the trailing m-1 coordinates
+  ("tail") and solves for the admissible leading coordinates analytically,
+  which turns the per-vector scan into a per-tail scan.  One candidate
+  expansion, :func:`_tail_candidates`, serves :func:`min_form`,
+  :func:`witnesses` and the final pick of :func:`dirichlet_witness`; it
+  filters its candidates with the oracle's own expression, so both engines
+  return the same vectors.
 
-The interval engine is validated against the enumeration engine in the test
+The interval engine is validated against the naive oracle in the test
 suite; every public result (Witness values in particular) is recomputed
 through :func:`smallforms.forms.form_value` before being returned.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,8 +56,8 @@ class SearchBudget:
     """Truncation of the witness search.
 
     ``q_max`` is the height bound, ``max_witnesses`` an optional output cap,
-    ``pruning`` selects the branch-and-bound path (the naive path is the
-    oracle the pruned one is tested against).
+    ``pruning`` selects the per-tail interval engine; ``False`` runs the
+    naive band scan, the oracle the engine is tested against.
     """
 
     q_max: int
@@ -153,7 +155,7 @@ def _tails(m, h_max):
 
 
 # ---------------------------------------------------------------------------
-# enumeration engine (naive oracle + pruned DFS)
+# enumeration: the naive oracle and the public searches
 # ---------------------------------------------------------------------------
 
 def _values_for_band(X: MatrixPoint, vecs):
@@ -169,58 +171,19 @@ def _min_form_naive(X: MatrixPoint, q_max):
     return tuple(int(v) for v in vecs[idx])
 
 
-def _leaf_values(partial, last_col, q_lo, q_max):
-    """max_j |partial_j + q_m x_mj| for q_m = q_lo .. q_max, vectorized."""
-    qs = np.arange(q_lo, q_max + 1, dtype=float)
-    vals = np.abs(partial[0] + qs * last_col[0])
-    for j in range(1, len(last_col)):
-        np.maximum(vals, np.abs(partial[j] + qs * last_col[j]), out=vals)
-    return qs.astype(np.int64), vals
-
-
-def _min_form_pruned(X: MatrixPoint, q_max):
-    """Branch-and-bound over canonical vectors: per-column partial-sum lower
-    bounds prune inner nodes, the final coordinate is swept vectorized."""
-    m, n = X.m, X.n
-    cols = [tuple(float(v) for v in row) for row in X.entries]  # row i = coefficients of q_i
-    rest = np.abs(X.entries)[::-1].cumsum(axis=0)[::-1]
-    suffix = (np.vstack([rest[1:], np.zeros((1, n))]) * q_max).tolist()
-    last_col = np.asarray(cols[-1], dtype=float)
-
-    best_val = math.inf
-    best_key = None
-
-    def take_leaf(prefix, partial, seen_nonzero, cur_height):
-        nonlocal best_val, best_key
-        q_lo = 1 if not seen_nonzero else -q_max
-        qs, vals = _leaf_values(np.asarray(partial), last_col, q_lo, q_max)
-        low = float(vals.min())
-        if low > best_val:
-            return
-        for idx in np.nonzero(vals == low)[0]:
-            q_m = int(qs[idx])
-            key = (max(cur_height, abs(q_m)), prefix + (q_m,))
-            if low < best_val or (low == best_val and key < best_key):
-                best_val = low
-                best_key = key
-
-    def descend(i, prefix, partial, seen_nonzero, cur_height):
-        if i == m - 1:
-            take_leaf(prefix, partial, seen_nonzero, cur_height)
-            return
-        lo = 0 if not seen_nonzero else -q_max
-        row = cols[i]
-        bound_row = suffix[i]
-        for qi in range(lo, q_max + 1):
-            new_partial = [p + qi * c for p, c in zip(partial, row)]
-            bound = max(max(0.0, abs(p) - s) for p, s in zip(new_partial, bound_row))
-            if bound > best_val:
-                continue
-            descend(i + 1, prefix + (qi,), new_partial,
-                    seen_nonzero or qi != 0, max(cur_height, abs(qi)))
-
-    descend(0, (), [0.0] * n, False, 0)
-    return tuple(best_key[1])
+def _min_form_tails(X: MatrixPoint, q_max):
+    """The naive oracle's minimizer, found among the candidates at a bound
+    just above B, the least value of some evaluated vectors: e_1 and, per
+    tail, q_1 = rint(-p_0/lead_0), the best q_1 for column 0."""
+    tails, _ = _tails(X.m, q_max)
+    lead = X.entries[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = np.rint(-(tails.astype(float) @ X.entries[1:, 0]) / lead[0])
+    q1 = np.clip(np.nan_to_num(q1, nan=0.0), -q_max, q_max).astype(np.int64)
+    guesses = np.vstack([np.eye(1, X.m, dtype=np.int64), np.column_stack([q1, tails])])
+    bound = np.nextafter(_values_for_band(X, guesses).min(), np.inf)
+    vecs = _tail_candidates(X, tails, bound, q_max, lambda v, h: v == v.min())
+    return tuple(int(v) for v in vecs[0])
 
 
 def min_form(X: MatrixPoint, q_max, pruned=True) -> Witness:
@@ -228,10 +191,12 @@ def min_form(X: MatrixPoint, q_max, pruned=True) -> Witness:
 
     Returns the canonical witness (one representative per +-q pair); among
     minimizers the one that height-then-lex ordered enumeration reaches first.
+    ``pruned`` selects the per-tail interval engine; ``False`` runs the naive
+    band scan, the oracle the engine is tested against.
     """
     if q_max < 1:
         raise PreconditionError("height bound must be >= 1")
-    q = _min_form_pruned(X, q_max) if pruned else _min_form_naive(X, q_max)
+    q = _min_form_tails(X, q_max) if pruned else _min_form_naive(X, q_max)
     return Witness.of(q, X)
 
 
@@ -243,43 +208,13 @@ def _witnesses_naive(X, psi, q_max):
     return [tuple(int(v) for v in row) for row in vecs[mask]]
 
 
-def _witnesses_pruned(X, psi, q_max):
-    m, n = X.m, X.n
-    cols = [tuple(float(v) for v in row) for row in X.entries]
-    rest = np.abs(X.entries)[::-1].cumsum(axis=0)[::-1]
-    suffix = (np.vstack([rest[1:], np.zeros((1, n))]) * q_max).tolist()
-    last_col = np.asarray(cols[-1], dtype=float)
-    # largest threshold reachable from a node: psi at the smallest reachable height
-    psi_by_height = psi(np.arange(1, q_max + 1, dtype=float))
-    found = []
-
-    def take_leaf(prefix, partial, seen_nonzero, cur_height):
-        q_lo = 1 if not seen_nonzero else -q_max
-        qs, vals = _leaf_values(np.asarray(partial), last_col, q_lo, q_max)
-        heights = np.maximum(np.abs(qs), max(cur_height, 1))
-        hits = vals < psi_by_height[heights - 1]
-        for idx in np.nonzero(hits)[0]:
-            found.append(prefix + (int(qs[idx]),))
-
-    def descend(i, prefix, partial, seen_nonzero, cur_height):
-        if i == m - 1:
-            take_leaf(prefix, partial, seen_nonzero, cur_height)
-            return
-        lo = 0 if not seen_nonzero else -q_max
-        row = cols[i]
-        bound_row = suffix[i]
-        for qi in range(lo, q_max + 1):
-            new_partial = [p + qi * c for p, c in zip(partial, row)]
-            bound = max(max(0.0, abs(p) - s) for p, s in zip(new_partial, bound_row))
-            h_min = max(cur_height, abs(qi), 1)
-            if bound >= psi_by_height[h_min - 1]:
-                continue
-            descend(i + 1, prefix + (qi,), new_partial,
-                    seen_nonzero or qi != 0, max(cur_height, abs(qi)))
-
-    descend(0, (), [0.0] * n, False, 0)
-    found.sort(key=lambda q: (max(abs(v) for v in q), q))
-    return found
+def _witnesses_tails(X, psi, q_max):
+    """Candidates at psi(max(tail height, 1)), valid as psi is non-increasing,
+    filtered at psi(|q|) as the naive oracle does."""
+    tails, tail_heights = _tails(X.m, q_max)
+    bound = psi(np.concatenate(([1], tail_heights)).astype(float))  # zero tail first
+    vecs = _tail_candidates(X, tails, bound, q_max, lambda v, h: v < psi(h.astype(float)))
+    return [tuple(int(v) for v in row) for row in vecs]
 
 
 def witnesses(X: MatrixPoint, psi: ApproximatingFunction, budget: SearchBudget) -> WitnessSearchResult:
@@ -289,7 +224,7 @@ def witnesses(X: MatrixPoint, psi: ApproximatingFunction, budget: SearchBudget) 
     whether the optional cap cut the list short.
     """
     raw = (
-        _witnesses_pruned(X, psi, budget.q_max)
+        _witnesses_tails(X, psi, budget.q_max)
         if budget.pruning
         else _witnesses_naive(X, psi, budget.q_max)
     )
@@ -313,8 +248,8 @@ def _interval_bounds(p, lead, bound):
     with np.errstate(divide="ignore", invalid="ignore"):
         centers = -p / lead
         widths = bound / np.abs(lead)
-    lo = centers - widths
-    hi = centers + widths
+        lo = centers - widths
+        hi = centers + widths
     unconstrained = lead == 0.0
     if np.any(unconstrained):
         dead = unconstrained & ~(np.abs(p) < bound)
@@ -360,12 +295,50 @@ def _dyadic_tail_blocks(tail_heights, cap):
     return out
 
 
+def _tail_candidates(X: MatrixPoint, tails, bound, cap, keep):
+    """Canonical q = +-(q_1, tail) with |q|_inf <= cap that pass ``keep``, in
+    (height, lex) order.
+
+    The tails are the rows of ``tails`` and the zero tail, added here with
+    q_1 >= 1.  ``bound`` is a scalar or one bound per tail, zero tail first;
+    per tail the open interval of q_1 with |qX|_inf < bound is solved and
+    padded by 1 against rounding, so every q through the tail with
+    |qX|_inf < bound is a candidate.  ``keep(values, heights)`` filters the
+    candidates exactly: values come from :func:`_values_for_band`, the naive
+    oracle's own expression.  Raises :class:`BudgetExceededError` when the
+    candidates would not fit the enumeration budget.
+    """
+    m = X.m
+    tails = np.vstack([np.zeros((1, m - 1), dtype=np.int64), tails])
+    bound = np.broadcast_to(np.asarray(bound, dtype=float), (len(tails),))[:, None]
+    p = tails.astype(float) @ X.entries[1:]
+    k_lo, k_hi = _k_range(*_interval_bounds(p, X.entries[0], bound), cap)
+    k_lo = np.maximum(k_lo - 1, -cap)
+    k_hi = np.minimum(k_hi + 1, cap)
+    k_lo[0] = 1
+    counts = np.maximum(k_hi - k_lo + 1, 0)
+    total = int(counts.sum())
+    if total * m > _BOX_CELL_CAP:
+        raise BudgetExceededError(
+            f"{total:.2e} candidate vectors up to height {cap} in dimension {m}, over budget"
+        )
+    starts = np.repeat(k_lo - (np.cumsum(counts) - counts), counts)
+    q1 = starts + np.arange(total, dtype=np.int64)
+    vecs = np.column_stack([q1, np.repeat(tails, counts, axis=0)])
+    vecs[q1 < 0] *= -1  # the canonical representative of the pair
+    heights = np.max(np.abs(vecs), axis=1)
+    mask = keep(_values_for_band(X, vecs), heights)
+    vecs, heights = vecs[mask], heights[mask]
+    return vecs[np.lexsort((*vecs.T[::-1], heights))]
+
+
 def _dirichlet_scan(X: MatrixPoint, height_cap, bound):
     """Per-tail minimum witness heights, scanned in ascending height blocks.
 
-    Returns (tail_best, h_star): tail_best[i] is the smallest achievable
-    |q|_inf through tail i (int64 max when none, or when the block scan
-    stopped early because heights there could no longer beat h_star).
+    Returns (tails, tail_heights, tail_best, h_star): tail_best[i] is the
+    smallest achievable |q|_inf through tail i (int64 max when none, or when
+    the block scan stopped early because heights there could no longer beat
+    h_star), and h_star is their minimum.
     Candidate leading coordinates are the nearest-to-zero admissible integers
     with +-1 padding, verified directly against the strict inequality.
     """
@@ -401,63 +374,18 @@ def _dirichlet_scan(X: MatrixPoint, height_cap, bound):
 def _dirichlet_first(X: MatrixPoint, height_cap, bound):
     """First (height, lex) canonical q with |q| <= cap and |qX|_inf < bound.
 
-    Per-tail interval solve; returns None when no vector qualifies.
+    The scan finds the first hit's height h_star; the candidates of the
+    tails reaching it, and of the zero tail, pick the hit.  Returns None when
+    no vector qualifies.
     """
-    m = X.m
-    lead = X.entries[0]
-    rest = X.entries[1:] if m > 1 else None
-    sentinel = np.iinfo(np.int64).max
-
-    # tail = 0: vectors q_1 * e_1; |q_1| * |lead| is increasing, so only the
-    # smallest height can qualify
-    zero_tail_q1 = 1 if bool(np.all(np.abs(lead) < bound)) else None
-    if m == 1:
-        return None if zero_tail_q1 is None else (1,)
-
     tails, tail_heights, tail_best, h_star = _dirichlet_scan(X, height_cap, bound)
-    if zero_tail_q1 is not None and zero_tail_q1 < h_star:
-        return (zero_tail_q1,) + (0,) * (m - 1)
-    if h_star == sentinel:
-        return None
-
-    rows = np.nonzero(tail_best == h_star)[0]
-    keys = []
-    for r in rows:
-        th = int(tail_heights[r])
-        tail = tuple(int(v) for v in tails[r])
-        p_row = tails[r].astype(float) @ rest
-        lo, hi = _interval_bounds(p_row, lead, bound)
-        k_lo_arr, k_hi_arr = _k_range(np.asarray([lo]), np.asarray([hi]), height_cap)
-        k_lo, k_hi = int(k_lo_arr[0]), int(k_hi_arr[0])
-        if th < h_star:
-            k_opts = (-h_star, h_star)
-        else:
-            pos = max(k_lo, 1)
-            neg = min(k_hi, -1)
-            k_opts = (0, pos, pos + 1, neg, neg - 1)
-        for k in k_opts:
-            if not (k_lo - 1 <= k <= k_hi + 1 and abs(k) <= h_star):
-                continue
-            if max(abs(k), th) != h_star:
-                continue
-            val = float(np.max(np.abs(k * lead + p_row)))
-            if val < bound:
-                keys.append(_canonical_key(k, tail))
-    if zero_tail_q1 is not None and zero_tail_q1 == h_star:
-        keys.append((zero_tail_q1,) + (0,) * (m - 1))
-    if not keys:
-        return None
-    return min(keys)
-
-
-def _canonical_key(k, tail):
-    q = (int(k),) + tuple(int(v) for v in tail)
-    for v in q:
-        if v > 0:
-            return q
-        if v < 0:
-            return tuple(-w for w in q)
-    return q
+    if np.all(np.abs(X.entries[0]) < bound):
+        h_star = min(h_star, 1)  # e_1
+    cap = min(h_star, height_cap)
+    k = int(np.searchsorted(tail_heights, cap, side="right"))  # tails no taller than the hit
+    vecs = _tail_candidates(X, tails[:k][tail_best[:k] == h_star], bound, cap,
+                            lambda v, h: v < bound)
+    return tuple(int(v) for v in vecs[0]) if len(vecs) else None
 
 
 def dirichlet_witness(X: MatrixPoint, t) -> Witness:

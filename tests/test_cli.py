@@ -185,9 +185,12 @@ class TestDispatch:
         ({}, ["measure", "delta-t", "--t", "3", "--samples", "10", "--seed", "1"]),
         ({}, ["measure", "dichotomy", "--N-schedule", "2", "--Q", "8", "--seed", "1"]),
         ({"SMALLFORMS_THREADS": "abc"}, ["dimension", "--tau", "2"]),
+        ({}, ["search", "--m", "2", "--n", "1", "--X", "nan,0.25", "--Q", "4"]),
+        ({}, ["search", "--m", "2", "--n", "1", "--X", "nan,0.25", "--Q", "4", "--no-pruning"]),
     ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
             "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
-            "dichotomy-no-psi", "threads-env-not-int"])
+            "dichotomy-no-psi", "threads-env-not-int", "search-X-nan",
+            "search-X-nan-no-pruning"])
     def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)

@@ -27,8 +27,9 @@ class TestMatrixPoint:
     def test_shape_and_bounds(self):
         X = MatrixPoint(np.array([[0.5, -0.5], [0.0, 0.25]]))
         assert (X.m, X.n) == (2, 2)
-        with pytest.raises(PreconditionError):
-            MatrixPoint(np.array([[0.6]]))
+        for bad in (0.6, np.nan, -np.inf):
+            with pytest.raises(PreconditionError):
+                MatrixPoint(np.array([[bad]]))
 
     def test_from_flat_is_column_major(self):
         X = MatrixPoint.from_flat([0.1, 0.2, 0.3, 0.4], 2, 2)

@@ -240,6 +240,8 @@ class TestUbiquityDensity:
         kwargs = dict(ball_center=(0.125,) * 3, ball_radius=0.125)
         mc = ubiquity_density(3, 1, cfg, t=4, samples=20_000, seed=34, **kwargs)
         grid = ubiquity_quadrature(3, 1, cfg, t=4, resolution=48, **kwargs)
+        assert grid.params["ball_center"] == mc.params["ball_center"] == (0.125,) * 3
+        assert grid.params["ball_radius"] == mc.params["ball_radius"] == 0.125
         comb = math.hypot(mc.stderr, grid.stderr)
         assert abs(mc.estimate - grid.estimate) <= 3 * comb + 1e-9
 

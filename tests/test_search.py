@@ -55,6 +55,21 @@ def col(*vals):
     return MatrixPoint.from_columns(list(vals))
 
 
+# zero lead entries, the zero matrix, dyadic entries with exact ties, m = 1
+STRUCTURED = (
+    col(0.0, 0.3),
+    col(0.0, 0.3, -0.2),
+    MatrixPoint.from_columns([0.0, 0.25], [0.3, 0.0]),
+    MatrixPoint(np.zeros((2, 1))),
+    MatrixPoint(np.zeros((3, 2))),
+    col(0.5, 0.25),
+    col(0.5, 0.5, 0.25),
+    MatrixPoint.from_columns([0.5, 0.25, 0.125], [0.25, 0.0, -0.5]),
+    MatrixPoint(np.array([[0.3, -0.4]])),
+    MatrixPoint(np.zeros((1, 1))),
+)
+
+
 class TestMinForm:
     def test_rational_dependence(self):
         w = min_form(col(0.5, 0.25), 2)
@@ -129,15 +144,18 @@ class TestWitnesses:
     def test_pruned_equals_naive_across_shapes(self):
         rng = np.random.default_rng(23)
         psi = ApproximatingFunction.power(1.0, 1.5)
-        for m, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
-            for _ in range(5):
-                X = MatrixPoint(rng.random((m, n)) - 0.5)
-                a = witnesses(X, psi, SearchBudget(8, pruning=True))
-                b = witnesses(X, psi, SearchBudget(8, pruning=False))
-                assert [w.q for w in a] == [w.q for w in b]
-                wa = min_form(X, 8, pruned=True)
-                wb = min_form(X, 8, pruned=False)
-                assert wa == wb
+        points = [
+            MatrixPoint(rng.random((m, n)) - 0.5)
+            for m, n in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3))
+            for _ in range(5)
+        ]
+        for X in points + list(STRUCTURED):
+            a = witnesses(X, psi, SearchBudget(8, pruning=True))
+            b = witnesses(X, psi, SearchBudget(8, pruning=False))
+            assert [w.q for w in a] == [w.q for w in b]
+            wa = min_form(X, 8, pruned=True)
+            wb = min_form(X, 8, pruned=False)
+            assert wa == wb
 
 
 class TestDirichlet:
@@ -163,13 +181,15 @@ class TestDirichlet:
 
     def test_first_in_order_matches_oracle(self):
         rng = np.random.default_rng(31)
+        cases = []
         for trial in range(60):
             m, n = [(2, 1), (3, 1), (3, 2), (2, 2)][trial % 4]
-            t = 1 + trial % 3
-            X = MatrixPoint(rng.random((m, n)) - 0.5)
-            bound = dirichlet_bound(m, n, t)
+            cases.append((MatrixPoint(rng.random((m, n)) - 0.5), 1 + trial % 3))
+        cases += [(X, t) for X in STRUCTURED for t in (1, 2, 3)]
+        for X, t in cases:
+            bound = dirichlet_bound(X.m, X.n, t)
             first = next(
-                (q for q in iter_canonical(m, 2 ** t) if oracle_value(q, X) < bound), None
+                (q for q in iter_canonical(X.m, 2 ** t) if oracle_value(q, X) < bound), None
             )
             assert first is not None
             w = dirichlet_witness(X, t)
@@ -252,6 +272,13 @@ class TestBudgets:
             SearchBudget(0)
         with pytest.raises(PreconditionError):
             SearchBudget(5, max_witnesses=0)
+
+    def test_candidate_set_too_large(self):
+        X = MatrixPoint(np.zeros((2, 1)))   # every q through every tail is a candidate
+        with pytest.raises(BudgetExceededError):
+            min_form(X, 5000)
+        with pytest.raises(BudgetExceededError):
+            witnesses(X, ApproximatingFunction.power(1.0, 1.0), SearchBudget(5000))
 
     def test_band_too_large(self):
         from smallforms.search import band_vectors
