@@ -40,6 +40,10 @@ _SUPPORTED = {(2, 1), (3, 1), (2, 2)}
 # per-shape refinement/height guards keeping bitmap memory and scan time sane
 _MAX_LEVEL = {(2, 1): 12, (3, 1): 9, (2, 2): 6}
 _MAX_Q = {(2, 1): 512, (3, 1): 64, (2, 2): 16}
+# rows of w cells painted per block, so a block's buffer stays small
+_ROW_BLOCK = 4096
+# slabs painted into a block before its fully covered rows are first dropped
+_FIRST_DROP = 256
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,19 @@ def _cell_range(lo_bound, hi_bound, level):
     w = 1 << level
     # cell j = [j delta - 1/2, (j+1) delta - 1/2]; need (j+1) delta - 1/2 > lo
     # and j delta - 1/2 < hi, both strict
-    j0 = np.floor((lo_bound + 0.5) / delta - 1.0).astype(np.int64) + 1
+    j0 = np.floor((lo_bound + 0.5) / delta - 1.0).astype(np.int64)
+    j0 += 1
     j1 = np.ceil((hi_bound + 0.5) / delta).astype(np.int64)
-    j0 = np.clip(j0, 0, w)
-    j1 = np.clip(j1, 0, w)
-    return j0, np.maximum(j0, j1)
+    np.minimum(np.maximum(j0, 0, out=j0), w, out=j0)
+    np.minimum(j1, w, out=j1)
+    return j0, np.maximum(j0, j1, out=j1)   # j0 >= 0 also clips j1 below
 
 
-def _slab_ranges(q, threshold, level):
-    """Per-outer-cell admissible last-coordinate ranges for one slab."""
-    m = len(q)
-    rows = (1 << level) ** (m - 1)
-    return _slab_ranges_block(q, threshold, level, 0, rows)
+def _row_blocks(dim, w):
+    """First-axis cell ranges [a, b) of a (w,)*dim grid, each spanning about
+    ``_ROW_BLOCK`` rows of w cells (all coordinates but the last)."""
+    step = max(1, _ROW_BLOCK // w ** (dim - 2)) if dim > 1 else w
+    return [(a, min(a + step, w)) for a in range(0, w, step)]
 
 
 def cover_count(q, psi: ApproximatingFunction, delta) -> int:
@@ -126,77 +131,117 @@ def cover_count(q, psi: ApproximatingFunction, delta) -> int:
     spec = GridSpec.from_delta(delta, q_arr.size)
     height = int(np.max(np.abs(q_arr)))
     threshold = psi.big_psi(float(height)) * float(np.linalg.norm(q_arr.astype(float)))
-    j0, j1 = _slab_ranges(tuple(q_arr), threshold, spec.level)
-    return int(np.sum(j1 - j0))
-
-
-def _union_count_paint(m, level, q_rows, thresholds):
-    """Boxes covered by the union of slabs, via per-row difference painting."""
-    w = 1 << level
-    rows = w ** (m - 1)
-    row_block = min(rows, 1 << 16)
     total = 0
-    for r0 in range(0, rows, row_block):
-        r1 = min(r0 + row_block, rows)
-        diff = np.zeros((r1 - r0, w + 1), dtype=np.int32)
-        for q, thr in zip(q_rows, thresholds):
-            j0, j1 = _slab_ranges_block(q, thr, level, r0, r1)
-            nz = j1 > j0
-            idx = np.nonzero(nz)[0]
-            if idx.size:
-                np.add.at(diff, (idx, j0[idx]), 1)
-                np.add.at(diff, (idx, j1[idx]), -1)
-        covered = np.cumsum(diff[:, :-1], axis=1) > 0
-        total += int(covered.sum())
+    for a, b in _row_blocks(q_arr.size, spec.per_axis):
+        j0, j1 = _slab_ranges_block(tuple(q_arr), threshold, spec.level, a, b)
+        total += int(np.sum(j1 - j0))
     return total
 
 
-def _slab_ranges_block(q, threshold, level, r0, r1):
-    """Slab ranges restricted to flattened outer rows [r0, r1).
+def _union_count_paint(m, level, q_rows, thresholds):
+    """Boxes covered by the union of slabs, via per-row difference painting.
+
+    The outer rows are painted in blocks of about ``_ROW_BLOCK`` rows into one
+    flat int32 buffer of ``w + 1`` slots per row.  A slab gives one range per
+    row, so its start and end indices are unique within the slab and plain
+    fancy ``+=``/``-=`` is exact; an empty range cancels itself.  Each row's
+    slots sum to zero, so one flat cumsum restarts at every row and its
+    nonzero entries are exactly the covered cells.
+
+    After ``_FIRST_DROP`` slabs, and again each time the slab count doubles,
+    the rows already fully covered are counted and dropped from the buffer;
+    the later slabs paint only the rows still live.
+    """
+    w = 1 << level
+    total = 0
+    for a, b in _row_blocks(m, w):
+        live = None                     # indices of the rows still painted; None: all
+        base = np.arange((b - a) * w ** (m - 2), dtype=np.int64) * (w + 1)
+        diff = np.zeros(len(base) * (w + 1), dtype=np.int32)
+        check = _FIRST_DROP
+        for s, (q, thr) in enumerate(zip(q_rows, thresholds)):
+            if s == check:
+                check *= 2
+                cover = np.cumsum(diff, dtype=np.int32).reshape(-1, w + 1)[:, :-1]
+                full = np.all(cover > 0, axis=1)
+                total += w * int(np.count_nonzero(full))
+                kept = np.flatnonzero(~full)
+                live = kept if live is None else live[kept]
+                diff = diff.reshape(-1, w + 1)[kept].ravel()
+                base = base[: len(kept)]
+                if not len(kept):
+                    break
+            j0, j1 = _slab_ranges_block(q, thr, level, a, b, live)
+            diff[base + j0] += 1
+            diff[base + j1] -= 1
+        total += int(np.count_nonzero(np.cumsum(diff, dtype=np.int32)))
+    return total
+
+
+def _outer_hull(q, level, a, b):
+    """Interval hull of q_0 x_0 + ... + q_{m-2} x_{m-2} over the outer cells
+    whose first index lies in [a, b), one entry per row (last axis fastest).
+
+    The per-axis cell contributions are broadcast together, summed from the
+    last outer axis down, so every row gets the same float sum as a
+    coordinate-by-coordinate loop.
+    """
+    left = _axis_edges(level)
+    right = left + 2.0 ** -level
+    lo = hi = None
+    for axis in range(len(q) - 2, -1, -1):
+        qi = float(q[axis])
+        lo_c, hi_c = (qi * left, qi * right) if qi >= 0 else (qi * right, qi * left)
+        if axis == 0:
+            lo_c, hi_c = lo_c[a:b], hi_c[a:b]
+        if lo is None:
+            lo, hi = lo_c, hi_c
+        else:
+            lo = (lo_c[:, None] + lo[None, :]).ravel()
+            hi = (hi_c[:, None] + hi[None, :]).ravel()
+    return lo, hi
+
+
+def _slab_ranges_block(q, threshold, level, a, b, rows=None):
+    """Per-row admissible last-coordinate ranges [j0, j1) of the slab
+    |q.x| <= threshold, over the outer rows whose first cell index lies in
+    [a, b); ``rows``, when given, selects some of those rows by index.
 
     ``m = 1`` has no outer rows; the single "row" carries the whole interval.
     """
-    m = len(q)
     w = 1 << level
-    delta = 2.0 ** -level
     q_last = float(q[-1])
-    if m == 1:
+    if len(q) == 1:
         half = threshold / abs(q_last)
         return _cell_range(np.array([-half]), np.array([half]), level)
-    ids = np.arange(r0, r1, dtype=np.int64)
-    outer_lo = np.zeros(len(ids))
-    outer_hi = np.zeros(len(ids))
-    rem = ids
-    for axis in range(m - 2, -1, -1):
-        cells = rem % w
-        rem = rem // w
-        qi = float(q[axis])
-        left = cells * delta - 0.5
-        lo_c = qi * left if qi >= 0 else qi * (left + delta)
-        hi_c = qi * (left + delta) if qi >= 0 else qi * left
-        outer_lo += lo_c
-        outer_hi += hi_c
+    outer_lo, outer_hi = _outer_hull(q, level, a, b)
+    if rows is not None:
+        outer_lo, outer_hi = outer_lo[rows], outer_hi[rows]
     if q_last == 0.0:
         meets = (outer_lo < threshold) & (outer_hi > -threshold)
-        j0 = np.zeros(len(ids), dtype=np.int64)
+        j0 = np.zeros(len(outer_lo), dtype=np.int64)
         j1 = np.where(meets, w, 0).astype(np.int64)
         return j0, j1
-    a = (-threshold - outer_hi) / q_last
-    b = (threshold - outer_lo) / q_last
-    return _cell_range(np.minimum(a, b), np.maximum(a, b), level)
+    lo = (-threshold - outer_hi) / q_last
+    hi = (threshold - outer_lo) / q_last
+    return _cell_range(np.minimum(lo, hi), np.maximum(lo, hi), level)
 
 
 def _column_mask_2d(q, threshold, level):
     """Boolean (w, w) mask of 2-dim cells meeting the slab |q.x| <= thr."""
-    j0, j1 = _slab_ranges(q, threshold, level)
     w = 1 << level
+    j0, j1 = _slab_ranges_block(q, threshold, level, 0, w)
     cols = np.arange(w)
     return (cols[None, :] >= j0[:, None]) & (cols[None, :] < j1[:, None])
 
 
-def _gamma_mask_2x2(level):
-    """4-dim cells whose interval determinant hull contains 0 (rank <= 1)."""
-    w = 1 << level
+def _gamma_mask_2x2(level, start=0, stop=None):
+    """4-dim cells whose interval determinant hull contains 0 (rank <= 1),
+    for the first-axis cells [start, stop) (all of them by default).
+
+    det_lo <= 0 is tested as a_lo <= b_hi: for finite floats the rounded
+    difference is zero only at equality and otherwise keeps its sign.
+    """
     delta = 2.0 ** -level
     lo = _axis_edges(level)
     hi = lo + delta
@@ -211,9 +256,28 @@ def _gamma_mask_2x2(level):
     # axes (i1, i2, i3, i4) = (x11, x21, x12, x22); det = x11 x22 - x12 x21
     a_lo, a_hi = prod_interval(lo, hi, lo, hi)     # x11 * x22 over (i1, i4)
     b_lo, b_hi = prod_interval(lo, hi, lo, hi)     # x12 * x21 over (i3, i2)
-    det_lo = a_lo[:, None, None, :] - b_hi.T[None, :, :, None]
-    det_hi = a_hi[:, None, None, :] - b_lo.T[None, :, :, None]
-    return (det_lo <= 0.0) & (det_hi >= 0.0)
+    a_lo, a_hi = a_lo[start:stop, None, None, :], a_hi[start:stop, None, None, :]
+    return (a_lo <= b_hi.T[None, :, :, None]) & (a_hi >= b_lo.T[None, :, :, None])
+
+
+def _product_union_count(masks, level, gamma_window):
+    """Cells (i1, i2, i3, i4) with masks[s, i1, i2] & masks[s, i3, i4] for
+    some slab s, restricted to :func:`_gamma_mask_2x2` when ``gamma_window``.
+
+    Over each block of i1 the product union is the 0/1 matrix product of the
+    flattened masks: every entry is an exact small integer in float32 (it
+    counts the slabs covering the cell), so "> 0" is the exact union for any
+    summation order.
+    """
+    w = 1 << level
+    flat = np.array(masks, dtype=np.float32).reshape(len(masks), w * w)
+    total = 0
+    for a, b in _row_blocks(4, w):
+        union = (flat[:, a * w:b * w].T @ flat).reshape(b - a, w, w, w) > 0
+        if gamma_window:
+            union &= _gamma_mask_2x2(level, a, b)
+        total += int(np.count_nonzero(union))
+    return total
 
 
 def truncated_box_count(m, n, tau, q_max, delta, h_min=1, gamma_window=None,
@@ -253,14 +317,8 @@ def truncated_box_count(m, n, tau, q_max, delta, h_min=1, gamma_window=None,
         return _union_count_paint(m, spec.level, q_rows, thresholds)
 
     # (2, 2): per-column product of identical 2-dim slabs
-    w = 1 << spec.level
-    union = np.zeros((w, w, w, w), dtype=bool)
-    for q, thr in zip(q_rows, thresholds):
-        mask = _column_mask_2d(q, thr, spec.level)
-        union |= mask[:, :, None, None] & mask[None, None, :, :]
-    if gamma_window:
-        union &= _gamma_mask_2x2(spec.level)
-    return int(union.sum())
+    masks = [_column_mask_2d(q, thr, spec.level) for q, thr in zip(q_rows, thresholds)]
+    return _product_union_count(masks, spec.level, gamma_window)
 
 
 def coupled_schedule(m, n, tau, levels, band_ratio=1.2):
@@ -273,12 +331,19 @@ def coupled_schedule(m, n, tau, levels, band_ratio=1.2):
     (say the full dyadic octave) push the counts toward the ambient grid size
     and bias the fitted slope upward.
     """
-    if band_ratio <= 1:
-        raise PreconditionError("band ratio must exceed 1")
+    if not (math.isfinite(tau) and tau + 1.0 > 0):
+        raise PreconditionError("tau must be finite with tau + 1 > 0")
+    if not 1 < band_ratio < math.inf:
+        raise PreconditionError("band ratio must be finite and exceed 1")
     out = []
     for level in levels:
         delta = 2.0 ** -level
-        q = max(1, math.ceil(delta ** (-1.0 / (tau + 1.0)) - 1e-9))
+        try:
+            q = max(1, math.ceil(delta ** (-1.0 / (tau + 1.0)) - 1e-9))
+        except OverflowError:
+            raise BudgetExceededError(
+                f"height bound for tau={tau} at level {level} overflows"
+            ) from None
         h_min = max(1, math.floor(q / band_ratio) + 1)
         out.append((q, delta, h_min))
     return out

@@ -335,10 +335,11 @@ def _tail_candidates(X: MatrixPoint, tails, bound, cap, keep):
 def _dirichlet_scan(X: MatrixPoint, height_cap, bound):
     """Per-tail minimum witness heights, scanned in ascending height blocks.
 
-    Returns (tails, tail_heights, tail_best, h_star): tail_best[i] is the
-    smallest achievable |q|_inf through tail i (int64 max when none, or when
-    the block scan stopped early because heights there could no longer beat
-    h_star), and h_star is their minimum.
+    Returns (tails, visited, h_star): ``visited`` holds one (slice, best)
+    pair per dyadic tail block scanned, best[i] being the smallest
+    achievable |q|_inf through tail i of the block (int64 max when none),
+    and h_star is their minimum.  The scan stops before the first block
+    whose tails are all taller than h_star.
     Candidate leading coordinates are the nearest-to-zero admissible integers
     with +-1 padding, verified directly against the strict inequality.
     """
@@ -347,7 +348,7 @@ def _dirichlet_scan(X: MatrixPoint, height_cap, bound):
     rest = X.entries[1:]
     n = X.n
     sentinel = np.iinfo(np.int64).max
-    tail_best = np.full(len(tails), sentinel, dtype=np.int64)
+    visited = []
     h_star = sentinel
     for th_min, block in _dyadic_tail_blocks(tail_heights, height_cap):
         if th_min > h_star:
@@ -365,25 +366,27 @@ def _dirichlet_scan(X: MatrixPoint, height_cap, bound):
             heights = np.maximum(np.abs(cand), tail_heights[block])
             good = vals < bound
             np.minimum(best, np.where(good, heights, sentinel), out=best)
-        tail_best[block] = best
+        visited.append((block, best))
         if best.size:
             h_star = min(h_star, int(best.min()))
-    return tails, tail_heights, tail_best, h_star
+    return tails, visited, h_star
 
 
 def _dirichlet_first(X: MatrixPoint, height_cap, bound):
     """First (height, lex) canonical q with |q| <= cap and |qX|_inf < bound.
 
     The scan finds the first hit's height h_star; the candidates of the
-    tails reaching it, and of the zero tail, pick the hit.  Returns None when
-    no vector qualifies.
+    tails reaching it, and of the zero tail, pick the hit.  Those tails lie
+    in the visited blocks (a tail's best height is at least its own height,
+    and the unvisited tails are taller than h_star).  Returns None when no
+    vector qualifies.
     """
-    tails, tail_heights, tail_best, h_star = _dirichlet_scan(X, height_cap, bound)
+    tails, visited, h_star = _dirichlet_scan(X, height_cap, bound)
     if np.all(np.abs(X.entries[0]) < bound):
         h_star = min(h_star, 1)  # e_1
     cap = min(h_star, height_cap)
-    k = int(np.searchsorted(tail_heights, cap, side="right"))  # tails no taller than the hit
-    vecs = _tail_candidates(X, tails[:k][tail_best[:k] == h_star], bound, cap,
+    reaching = [tails[block][best == h_star] for block, best in visited]
+    vecs = _tail_candidates(X, np.concatenate([tails[:0], *reaching]), bound, cap,
                             lambda v, h: v < bound)
     return tuple(int(v) for v in vecs[0]) if len(vecs) else None
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from smallforms import (
     cover_count,
     truncated_box_count,
 )
+from smallforms import boxdim
 from smallforms.boxdim import _gamma_mask_2x2, coupled_schedule
+from smallforms.search import band_vectors
 
 
 def rasterize_union(q_list, thresholds, level, m):
@@ -34,6 +38,53 @@ def rasterize_union(q_list, thresholds, level, m):
                 break
         count += hit
     return count
+
+
+def dense_slab_masks(q_list, thresholds, level, m):
+    """Independent dense rasterizer: per slab, the boolean (w,)*m mask of the
+    cells whose q.x interval hull (corner sums over the whole cell) meets
+    |q.x| < thr on positive measure."""
+    w = 1 << level
+    delta = 2.0 ** -level
+    corner = np.arange(w) * delta - 0.5
+    for q, thr in zip(q_list, thresholds):
+        lo = hi = 0.0
+        for axis, qi in enumerate(q):
+            a, b = float(qi) * corner, float(qi) * (corner + delta)
+            shape = [1] * m
+            shape[axis] = w
+            lo = lo + np.minimum(a, b).reshape(shape)
+            hi = hi + np.maximum(a, b).reshape(shape)
+        yield (lo < thr) & (hi > -thr)
+
+
+def dense_union_count(q_list, thresholds, level, m):
+    covered = np.zeros((1 << level,) * m, dtype=bool)
+    for mask in dense_slab_masks(q_list, thresholds, level, m):
+        covered |= mask
+    return int(covered.sum())
+
+
+def dense_gamma_mask(level):
+    """4-dim cells (x11, x21, x12, x22) whose determinant interval
+    [min x11 x22 - max x12 x21, max x11 x22 - min x12 x21] contains 0."""
+    w = 1 << level
+    delta = 2.0 ** -level
+    lo = np.arange(w) * delta - 0.5
+    ends = np.stack([lo, lo + delta])                        # (2, w)
+    prods = ends[:, None, :, None] * ends[None, :, None, :]  # (2, 2, w, w)
+    p_lo, p_hi = prods.min(axis=(0, 1)), prods.max(axis=(0, 1))
+    x11_x22_lo = p_lo[:, None, None, :]                     # axes (i1, i4)
+    x11_x22_hi = p_hi[:, None, None, :]
+    x12_x21_lo = p_lo.T[None, :, :, None]                   # axes (i3, i2)
+    x12_x21_hi = p_hi.T[None, :, :, None]
+    return (x11_x22_lo - x12_x21_hi <= 0.0) & (x11_x22_hi - x12_x21_lo >= 0.0)
+
+
+def band_slabs(psi, m, h_min, q_max):
+    vecs, heights = band_vectors(m, h_min, q_max)
+    thresholds = psi.big_psi(heights.astype(float)) * np.linalg.norm(vecs.astype(float), axis=1)
+    return [tuple(int(v) for v in q) for q in vecs], thresholds
 
 
 def psi_with_width(width_at, height, tau=1.0):
@@ -95,6 +146,102 @@ class TestCoverCount:
             count = cover_count(q, psi, 2.0 ** -level)
             ratios.append(count * width)
         assert 0.5 <= min(ratios) and max(ratios) <= 12.0
+
+
+    def test_higher_dim_slabs_match_independent_rasterizer(self):
+        # m = 4 at level 5 has 32^3 rows: several row blocks
+        psi = ApproximatingFunction.power(0.05, 1.5)
+        level = 5
+        for q in [(1, 0, 0), (0, 0, 1), (2, -3, 0), (1, -2, 3), (-3, 1, -1), (0, 2, -1),
+                  (1, -2, 0, 3), (2, 1, -1, 0)]:
+            height = max(abs(v) for v in q)
+            thr = psi.big_psi(float(height)) * math.sqrt(sum(v * v for v in q))
+            expected = dense_union_count([q], [thr], level, len(q))
+            assert 0 < expected < (1 << level) ** len(q)
+            assert cover_count(q, psi, 2.0 ** -level) == expected
+
+
+class TestUnionEngine:
+    """The blocked union engine against the dense rasterizer above: several
+    row blocks, the covered-row drop-out, slabs with last coordinate 0 and
+    with negative entries."""
+
+    def test_three_dim_union_over_several_row_blocks(self):
+        m, level = 3, 7
+        psi = ApproximatingFunction.power(0.01, 1.5)
+        assert (1 << level) ** (m - 1) > boxdim._ROW_BLOCK
+        qs, thr = band_slabs(psi, m, 1, 2)
+        assert any(q[-1] == 0 for q in qs) and any(min(q) < 0 for q in qs)
+        expected = dense_union_count(qs, thr, level, m)
+        assert 0 < expected < (1 << level) ** m
+        assert truncated_box_count(m, 1, 1.5, 2, 2.0 ** -level, psi=psi) == expected
+
+    @pytest.mark.parametrize("m, c, tau, h_min, q_max, level", [
+        (2, 0.1, 0.5, 5, 12, 7),    # 59% of the rows fully covered
+        (3, 0.03, 1.5, 2, 2, 6),    # 46%
+        (3, 0.01, 3.0, 1, 3, 6),    # 99.4%
+        (3, 0.1, 1.5, 2, 3, 6),     # every row: the block empties
+    ])
+    def test_small_blocks_and_row_dropout(self, monkeypatch, m, c, tau, h_min, q_max, level):
+        # tiny blocks and an early first drop exercise every branch of the
+        # paint on grids the dense rasterizer affords
+        monkeypatch.setattr(boxdim, "_ROW_BLOCK", 64)
+        monkeypatch.setattr(boxdim, "_FIRST_DROP", 4)
+        painted = []
+        ranges = boxdim._slab_ranges_block
+
+        def spy(q, threshold, level, a, b, rows=None):
+            j0, j1 = ranges(q, threshold, level, a, b, rows)
+            painted.append(len(j0))
+            return j0, j1
+
+        monkeypatch.setattr(boxdim, "_slab_ranges_block", spy)
+        psi = ApproximatingFunction.power(c, tau)
+        qs, thr = band_slabs(psi, m, h_min, q_max)
+        expected = dense_union_count(qs, thr, level, m)
+        got = truncated_box_count(m, 1, tau, q_max, 2.0 ** -level, h_min=h_min, psi=psi)
+        assert got == expected
+        assert min(painted) < 64 <= max(painted)   # some rows were dropped
+
+    @pytest.mark.parametrize("gamma_window", [True, False])
+    @pytest.mark.parametrize("h_min, q_max, level", [(2, 3, 4), (2, 3, 5), (3, 3, 5)])
+    def test_product_union_matches_dense_rasterizer(self, gamma_window, h_min, q_max, level):
+        psi = ApproximatingFunction.power(1.0, 3.0)
+        qs, thr = band_slabs(psi, 2, h_min, q_max)
+        w = 1 << level
+        union = np.zeros((w,) * 4, dtype=bool)
+        for mask in dense_slab_masks(qs, thr, level, 2):
+            union |= mask[:, :, None, None] & mask[None, None, :, :]
+        if gamma_window:
+            union &= dense_gamma_mask(level)
+        expected = int(union.sum())
+        assert 0 < expected < w ** 4
+        got = truncated_box_count(2, 2, 3.0, q_max, 2.0 ** -level, h_min=h_min,
+                                  gamma_window=gamma_window)
+        assert got == expected
+
+    def test_gamma_mask_blocks_match_dense(self):
+        level = 4
+        dense = dense_gamma_mask(level)
+        assert np.array_equal(_gamma_mask_2x2(level), dense)
+        assert np.array_equal(_gamma_mask_2x2(level, 3, 7), dense[3:7])
+
+    def test_counts_match_benchmark_references(self):
+        # the exact counts that the benchmark's boxdim part checks; the
+        # schedules are those of perfbench/workloads.py (BOXDIM_SCHEDULES)
+        schedules = {
+            "2x1_tau0.5": (2, 1, 0.5, range(4, 11)),
+            "3x1_tau1.5": (3, 1, 1.5, range(4, 8)),
+            "3x1_tau3": (3, 1, 3.0, range(4, 9)),
+            "2x2_tau3": (2, 2, 3.0, range(3, 7)),
+        }
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+        refs = json.loads(path.read_text())["boxdim"]["outputs"]
+        assert set(refs) == set(schedules)
+        for label, (m, n, tau, levels) in schedules.items():
+            counts = [truncated_box_count(m, n, tau, q_max, delta, h_min=h_min)
+                      for q_max, delta, h_min in coupled_schedule(m, n, tau, levels)]
+            assert counts == refs[label], label
 
 
 class TestTruncatedCount:
@@ -167,6 +314,18 @@ class TestBoxDimEstimate:
         assert 1.3 <= rep.slope <= 2.0
         assert rep.label == "box-dimension proxy"
         assert len(rep.points) == 5
+
+    @pytest.mark.parametrize("tau, band_ratio", [
+        (math.nan, 1.2), (-1.0, 1.2), (-3.0, 1.2), (math.inf, 1.2),
+        (2.0, math.nan), (2.0, math.inf), (2.0, 1.0),
+    ])
+    def test_coupled_schedule_rejects_bad_input(self, tau, band_ratio):
+        with pytest.raises(PreconditionError):
+            coupled_schedule(2, 1, tau, range(4, 8), band_ratio)
+
+    def test_coupled_schedule_overflow_is_a_budget_error(self):
+        with pytest.raises(BudgetExceededError):
+            coupled_schedule(2, 1, -0.999, range(4, 8))
 
     def test_coupled_schedule_matches_width(self):
         for q_max, delta, h_min in coupled_schedule(2, 1, 2.0, range(4, 10)):

@@ -187,10 +187,16 @@ class TestDispatch:
         ({"SMALLFORMS_THREADS": "abc"}, ["dimension", "--tau", "2"]),
         ({}, ["search", "--m", "2", "--n", "1", "--X", "nan,0.25", "--Q", "4"]),
         ({}, ["search", "--m", "2", "--n", "1", "--X", "nan,0.25", "--Q", "4", "--no-pruning"]),
+        ({}, ["boxdim", "--m", "2", "--n", "1", "--levels", "4,5,6,7", "--tau", "nan"]),
+        ({}, ["boxdim", "--m", "2", "--n", "1", "--levels", "4,5,6,7", "--tau", "-1"]),
+        ({}, ["boxdim", "--m", "2", "--n", "1", "--levels", "4,5,6,7", "--tau", "inf"]),
+        ({}, ["boxdim", "--m", "2", "--n", "1", "--levels", "4,5,6,7", "--tau", "2",
+              "--band-ratio", "nan"]),
     ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
             "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
             "dichotomy-no-psi", "threads-env-not-int", "search-X-nan",
-            "search-X-nan-no-pruning"])
+            "search-X-nan-no-pruning", "boxdim-tau-nan", "boxdim-tau-minus-1",
+            "boxdim-tau-inf", "boxdim-band-ratio-nan"])
     def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
