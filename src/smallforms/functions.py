@@ -239,10 +239,6 @@ class DimensionFunction:
         e = s - _as_fraction(b)
         return e < 0 or (e == 0 and k >= 0)
 
-    def scaled_monotone(self, b) -> bool:
-        """Power-log rescalings are always eventually monotone near 0."""
-        return True
-
     def scaled(self, b) -> "DimensionFunction":
         """The transform r -> r**(-b) * f(r) as a new family member.
 
@@ -281,15 +277,16 @@ class OmegaFunction:
         if self.family not in ("power", "table"):
             raise PreconditionError(f"unknown omega family {self.family!r}")
         if self.family == "power":
-            if self.exponent <= 0 or self.scale <= 0:
-                raise PreconditionError("power omega needs positive scale and exponent")
+            if not (0 < self.exponent < math.inf and 0 < self.scale < math.inf):
+                raise PreconditionError("power omega needs a positive finite scale and exponent")
         else:
             t = np.asarray(self.table_t, dtype=float)
             v = np.asarray(self.table_v, dtype=float)
             if t.size < 2 or t.size != v.size:
                 raise PreconditionError("table omega needs >= 2 points")
-            if np.any(np.diff(t) <= 0) or np.any(v <= 0) or np.any(np.diff(v) < 0):
-                raise PreconditionError("table omega must be positive and non-decreasing")
+            if (not np.all(np.isfinite(np.concatenate([t, v]))) or np.any(np.diff(t) <= 0)
+                    or np.any(v <= 0) or np.any(np.diff(v) < 0)):
+                raise PreconditionError("table omega must be finite, positive and non-decreasing")
 
     @classmethod
     def power(cls, exponent, scale=1.0) -> "OmegaFunction":

@@ -12,8 +12,13 @@ seed at any thread count.  Counts below 1 raise :class:`PreconditionError`.
 
 Membership in a union of neighborhoods is decided either by the cached-shell
 scan (every canonical q in the relevant height range against every sample)
-or, for single-form configurations, by the per-tail interval engine from
-:mod:`smallforms.search`; the two are cross-validated in the test suite.
+or by one tail loop, ``_tail_exists``: it walks the tails (q_2 .. q_m) of
+:mod:`smallforms.search` in ascending dyadic height blocks, tests only the
+samples with no witness yet, in chunks of a fixed cell budget, and asks a
+per-question rule which tails give a sample a witness.  The three rules
+(psi threshold, constant bound, rho-neighborhood) each test the few leading
+coordinates q_1 that their own convexity or interval argument allows; the
+scan is the oracle they are cross-validated against in the test suite.
 """
 
 from __future__ import annotations
@@ -279,171 +284,123 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
     return out
 
 
+def _tail_exists(xs, out, cap, hit):
+    """OR into ``out`` the samples that a q = (q_1, tail) with a tail of height
+    <= cap witnesses, and return ``out``.
+
+    ``xs`` is (S, m) for one form or (S, m, n).  Tails are walked in ascending
+    dyadic height blocks; each block tests only the samples with no witness
+    yet, in chunks of about ``_CELL_BUDGET`` cells.  Per chunk the tail
+    products p = tails . x[1:] are formed once, shape (K, s) or (K, s, n), and
+    ``hit(lead, p, tails, th)`` returns the (K, s) mask of tails that give
+    the sample a witness; ``lead`` is x[0] and ``th`` the tail heights.
+    """
+    tails, th_all = _tails(xs.shape[1], cap)
+    cols = xs.shape[2] if xs.ndim == 3 else 1
+    for _, block in _dyadic_tail_blocks(th_all, cap):
+        alive = np.nonzero(~out)[0]
+        if alive.size == 0:
+            break
+        t_block, th = tails[block], th_all[block]
+        tf = t_block.astype(float)
+        chunk = max(1, _CELL_BUDGET // (len(t_block) * cols))
+        for s0 in range(0, alive.size, chunk):
+            idx = alive[s0 : s0 + chunk]
+            x = xs[idx]
+            p = tf @ x[:, 1:].T if x.ndim == 2 else np.einsum("km,smn->ksn", tf, x[:, 1:])
+            out[idx] |= hit(x[:, 0], p, t_block, th).any(axis=0)
+    return out
+
+
+def _v_bottom(lead, p, cap):
+    """floor(-p / lead): the left foot of the V of |q_1 lead + p| over real
+    q_1, clipped to +-(cap + 2); a zero lead's NaN or infinity lands on the clip."""
+    pad = cap + 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.divide(p, lead)
+    np.negative(v, out=v)
+    np.nan_to_num(v, copy=False, nan=pad, posinf=pad, neginf=-pad)
+    return np.floor(np.clip(v, -pad, pad, out=v), out=v)
+
+
 def _psi_witness_mask_n1(xs, thr_by_height, n_min, q_max):
     """Single-form fast path: any q with n_min <= |q| <= q_max and
     |q.x| < thr(|q|), thr non-increasing and convex on integer heights.
 
-    Works per tail: with the trailing coordinates fixed, |q_1 x_1 + p| is
-    piecewise linear in q_1 and thr(max(|q_1|, tail_height)) is constant then
-    convex decreasing, so the strict inequality can only be satisfied at one
-    of a handful of candidate q_1 values (V-bottom, plateau clamp, inner
-    interval endpoints); everything in between is excluded by convexity.
-    Tails are scanned in ascending height blocks and samples drop out as soon
-    as any block finds them a witness.
+    Per tail, |q_1 x_1 + p| is piecewise linear in q_1 and
+    thr(max(|q_1|, tail_height)) is constant then convex decreasing, so the
+    strict inequality can only hold at one of a handful of candidate q_1
+    values (V-bottom, plateau clamp, inner interval endpoints); everything in
+    between is excluded by convexity.  q = q_1 e_1 seeds the mask: |q_1||x_1|
+    increases and thr does not, so q_1 = max(n_min, 1) decides it.
     """
-    S, m = xs.shape
     n_eff = max(n_min, 1)
-    out = np.zeros(S, dtype=bool)
-
-    # q = q_1 e_1: |q_1||x_1| increasing vs thr non-increasing => test n_eff
-    lead_all = xs[:, 0]
-    out |= n_eff * np.abs(lead_all) < thr_by_height[n_eff]
-    if m == 1:
-        return out
-
-    tails, th_all = _tails(m, q_max)
     thr = np.asarray(thr_by_height, dtype=float)
-    for _, block in _dyadic_tail_blocks(th_all, q_max):
-        alive = np.nonzero(~out)[0]
-        if alive.size == 0:
-            break
-        t_block = tails[block]
-        th = th_all[block]
-        K = len(t_block)
-        plateau = np.minimum(th, q_max)
-        L = np.where(th >= n_min, 0, n_min).astype(np.int64)
-        chunk = max(1, _CELL_BUDGET // max(K, 1))
-        Lc = L[:, None]
-        pc = plateau[:, None]
-        for s0 in range(0, alive.size, chunk):
-            idx = alive[s0 : s0 + chunk]
-            x = xs[idx]
-            lead = x[:, 0]
-            p = t_block.astype(float) @ x[:, 1:].T  # (K, s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = -p / lead[None, :]
-            v = np.clip(
-                np.nan_to_num(v, nan=q_max + 2.0, posinf=q_max + 2.0, neginf=-(q_max + 2.0)),
-                -(q_max + 2.0),
-                q_max + 2.0,
-            )
-            f1 = np.floor(v)
-            hit = np.zeros(p.shape, dtype=bool)
-            for base in (f1, f1 + 1.0):
-                for gate in ("box", "plateau", "pos", "neg"):
-                    if gate == "box":
-                        c = np.clip(base, -float(q_max), float(q_max))
-                    elif gate == "plateau":
-                        c = np.clip(base, -pc, pc)
-                    elif gate == "pos":
-                        c = np.clip(base, Lc.astype(float), float(q_max))
-                    else:
-                        c = np.clip(base, -float(q_max), -Lc.astype(float))
-                    hit |= _psi_candidate_hit(c, lead, p, th, thr, n_min, q_max, L)
-            # inner endpoints of the split ranges when the tail sits below n_min
-            if np.any(L > 0):
-                for sign in (1.0, -1.0):
-                    c = sign * Lc.astype(float) * np.ones_like(p)
-                    hit |= _psi_candidate_hit(c, lead, p, th, thr, n_min, q_max, L)
-            out[idx] |= hit.any(axis=0)
-    return out
+    cap = float(q_max)
+
+    def hit(lead, p, tails, th):
+        L = np.where(th >= n_min, 0, n_min)[:, None].astype(float)  # inner end of a split range
+        plateau = np.minimum(th, q_max)[:, None]
+        f1 = _v_bottom(lead, p, q_max)
+        gates = ((-cap, cap), (-plateau, plateau), (L, cap), (-cap, -L))
+        pairs = [(base, gate) for base in (f1, f1 + 1.0) for gate in gates]
+        if np.any(L > 0):
+            pairs += [(f1, (L, L)), (f1, (-L, -L))]  # the inner ends +-L, as one-point gates
+
+        def passes(c):  # its temporaries die on return, before the next candidate
+            absc = np.abs(c)
+            heights = np.maximum(absc.astype(np.int64), th[:, None])
+            ok = (absc <= q_max) & ((L == 0) | (absc >= L)) & (heights >= n_eff)
+            return ok & (np.abs(c * lead + p) < thr[np.minimum(heights, len(thr) - 1)])
+
+        found = np.zeros(p.shape, dtype=bool)
+        for base, (lo, hi) in pairs:
+            found |= passes(np.clip(base, lo, hi))
+        return found
+
+    return _tail_exists(xs, n_eff * np.abs(xs[:, 0]) < thr[n_eff], q_max, hit)
 
 
-def _psi_candidate_hit(c, lead, p, tail_heights, thr, n_min, q_max, L):
-    """Strict-inequality check of candidate leading coordinates.
+def _const_witness_mask(xs, bound, height_cap):
+    """Any nonzero q with |q| <= cap and max_j |q.x_j| < bound.
 
-    ``c`` is (K, s) float candidates; validity: |c| <= q_max, |c| >= L when
-    the tail is below the lower cutoff, and resulting height within range.
+    General n: per tail the admissible leading coordinates form an open
+    interval, so existence is an integer-in-interval test.
     """
-    absc = np.abs(c)
-    heights = np.maximum(absc.astype(np.int64), tail_heights[:, None])
-    valid = (absc <= q_max) & ((L[:, None] == 0) | (absc >= L[:, None]))
-    valid &= heights >= max(n_min, 1)
-    vals = np.abs(c * lead[None, :] + p)
-    return valid & (vals < thr[np.minimum(heights, len(thr) - 1)])
-
-
-def _const_witness_mask(xs, bound, height_cap, inclusive=False):
-    """Any nonzero q with |q| <= cap and max_j |q.x_j| < bound (or <=).
-
-    General n: per tail the admissible leading coordinates form an interval
-    intersection, so existence reduces to an integer-in-interval test.
-    """
-    S, m, n = xs.shape
-    out = np.zeros(S, dtype=bool)
     if height_cap < 1:
-        return out
-    lead_all = xs[:, 0, :]                      # (S, n)
-    lead_max = np.max(np.abs(lead_all), axis=1)
-    out |= (lead_max <= bound) if inclusive else (lead_max < bound)
-    if m == 1:
-        return out
+        return np.zeros(len(xs), dtype=bool)
 
-    tails, _ = _tails(m, height_cap)
-    K = len(tails)
-    chunk = max(1, _CELL_BUDGET // max(K * n, 1))
-    for s0 in range(0, S, chunk):
-        sl = slice(s0, min(s0 + chunk, S))
-        todo = np.nonzero(~out[sl])[0]
-        if todo.size == 0:
-            continue
-        x = xs[sl][todo]                        # (s, m, n)
-        p = np.einsum("km,smn->ksn", tails.astype(float), x[:, 1:, :])
-        lo, hi = _interval_bounds(p, x[:, 0, :][None, :, :] * np.ones((K, 1, 1)), bound)
-        k_lo, k_hi = _k_range(lo, hi, height_cap)
-        exists = k_lo <= k_hi
-        if inclusive:
-            # closed interval: admit endpoints that the open-interval floor/ceil dropped
-            cand = np.stack([k_lo - 1, k_hi + 1], axis=-1).astype(float)
-            vals = np.abs(cand[..., None] * x[:, 0, :][None, :, None, :] + p[:, :, None, :]).max(axis=-1)
-            exists |= ((vals <= bound) & (np.abs(cand) <= height_cap)).any(axis=-1)
-        out_block = out[sl]
-        out_block[todo] |= exists.any(axis=0)
-        out[sl] = out_block
-    return out
+    def hit(lead, p, tails, th):
+        k_lo, k_hi = _k_range(*_interval_bounds(p, lead, bound), height_cap)
+        return k_lo <= k_hi
+
+    return _tail_exists(xs, np.max(np.abs(xs[:, 0, :]), axis=1) < bound, height_cap, hit)
 
 
 def _rho_witness_mask_n1(xs, rho, height_cap):
     """Any nonzero q, |q| <= cap, with |q.x| <= rho |q|_2 (single form).
 
     Candidates: the V-bottom of |q_1 x_1 + p|, q_1 = 0, and the box ends;
-    between them |q_1 x_1 + p| - rho |q|_2 is monotone, so these suffice.
-    Scans tails in ascending height blocks with sample drop-out.
+    between them |q_1 x_1 + p| - rho |q|_2 is concave, so these suffice.
+    q = q_1 e_1 seeds the mask: |x_1| <= rho at any height.  The two sides
+    of the test reuse one buffer each across the candidates.
     """
-    S, m = xs.shape
-    out = np.zeros(S, dtype=bool)
-    lead_all = np.abs(xs[:, 0])
-    out |= lead_all <= rho          # q = q_1 e_1: |x_1| <= rho, any height
-    if m == 1:
-        return out
+    cap = float(height_cap)
 
-    tails, th_all = _tails(m, height_cap)
-    cap_f = float(height_cap)
-    for _, block in _dyadic_tail_blocks(th_all, height_cap):
-        alive = np.nonzero(~out)[0]
-        if alive.size == 0:
-            break
-        t_block = tails[block]
-        K = len(t_block)
-        tail_norm_sq = (t_block.astype(float) ** 2).sum(axis=1)
-        chunk = max(1, _CELL_BUDGET // max(K, 1))
-        for s0 in range(0, alive.size, chunk):
-            idx = alive[s0 : s0 + chunk]
-            x = xs[idx]
-            lead = x[:, 0]
-            p = t_block.astype(float) @ x[:, 1:].T   # (K, s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = -p / lead[None, :]
-            v = np.clip(np.nan_to_num(v, nan=cap_f, posinf=cap_f, neginf=-cap_f), -cap_f, cap_f)
-            hit = np.zeros(p.shape, dtype=bool)
-            for c in (np.zeros_like(v), np.floor(v), np.floor(v) + 1.0,
-                      np.full_like(v, -cap_f), np.full_like(v, cap_f)):
-                c = np.clip(c, -cap_f, cap_f)
-                lhs = np.abs(c * lead[None, :] + p)
-                rhs = rho * np.sqrt(c * c + tail_norm_sq[:, None])
-                hit |= lhs <= rhs
-            out[idx] |= hit.any(axis=0)
-    return out
+    def hit(lead, p, tails, th):
+        norm_sq = (tails.astype(float) ** 2).sum(axis=1)[:, None]
+        f1 = _v_bottom(lead, p, height_cap)
+        f2 = np.clip(f1 + 1.0, -cap, cap)
+        np.clip(f1, -cap, cap, out=f1)
+        lhs, rhs = np.empty_like(p), np.empty_like(p)
+        found = np.zeros(p.shape, dtype=bool)
+        for c in (0.0, -cap, cap, f1, f2):
+            np.abs(np.add(np.multiply(c, lead, out=lhs), p, out=lhs), out=lhs)
+            np.sqrt(np.add(np.multiply(c, c, out=rhs), norm_sq, out=rhs), out=rhs)
+            found |= lhs <= np.multiply(rho, rhs, out=rhs)
+        return found
+
+    return _tail_exists(xs, np.abs(xs[:, 0]) <= rho, height_cap, hit)
 
 
 def _fast_psi_path_ok(psi):
@@ -493,8 +450,8 @@ def _report(experiment, params, seed, total, hits, parameter, start, extras):
 
 def _delta_t(experiment, m, n, psi, t, k, source, seed, threads, budget, params, extras):
     """Shared body of :func:`estimate_delta_t` and :func:`delta_t_quadrature`."""
-    if t < 1:
-        raise PreconditionError("t must be >= 1")
+    if t < 1 or not 1 < k < math.inf:
+        raise PreconditionError("need t >= 1 and a finite band base k > 1")
     h_lo = max(1, math.ceil(k ** (t - 1)))
     h_hi = math.floor(k ** t)
     vecs, heights = band_vectors(m, h_lo, h_hi)
@@ -566,8 +523,8 @@ def _ball_window(ball_center, ball_radius, dim):
     center = np.zeros(dim) if ball_center is None else np.asarray(ball_center, dtype=float)
     if center.size != dim:
         raise PreconditionError(f"ball center must have {dim} coordinates")
-    if ball_radius <= 0 or np.any(np.abs(center) + ball_radius > 0.5 + 1e-15):
-        raise PreconditionError("ball must sit inside the cube")
+    if not (ball_radius > 0 and np.all(np.abs(center) + ball_radius <= 0.5 + 1e-15)):
+        raise PreconditionError("ball must be finite and sit inside the cube")
     return center, float(ball_radius)
 
 

@@ -192,7 +192,6 @@ def verdict(m, n, f: DimensionFunction, psi: ApproximatingFunction) -> Verdict:
 
     checks = {}
     if m > n:
-        checks["r^-mn f monotone near 0"] = f.scaled_monotone(ambient)
         checks["r^-(m-1)n f increasing"] = f.scaled_increasing(gamma)
         if not checks["r^-(m-1)n f increasing"]:
             raise PreconditionError("side condition failed: r^(-(m-1)n) f(r) must be increasing")
@@ -224,7 +223,6 @@ def verdict(m, n, f: DimensionFunction, psi: ApproximatingFunction) -> Verdict:
         )
 
     # 2 <= m <= n: the set lies on the rank <= m-1 variety
-    checks["r^-(m-1)(n+1) f monotone near 0"] = f.scaled_monotone(sheet)
     checks["r^-(m-1)n f increasing"] = f.scaled_increasing(gamma)
     if not checks["r^-(m-1)n f increasing"]:
         raise PreconditionError("side condition failed: r^(-(m-1)n) f(r) must be increasing")

@@ -192,11 +192,29 @@ class TestDispatch:
         ({}, ["boxdim", "--m", "2", "--n", "1", "--levels", "4,5,6,7", "--tau", "inf"]),
         ({}, ["boxdim", "--m", "2", "--n", "1", "--levels", "4,5,6,7", "--tau", "2",
               "--band-ratio", "nan"]),
+        ({}, ["measure", "e-t", "--m", "3", "--n", "1", "--t", "8", "--seed", "1",
+              "--omega", "pow:1,nan"]),
+        ({}, ["measure", "e-t", "--m", "3", "--n", "1", "--t", "8", "--seed", "1",
+              "--omega", "pow:nan"]),
+        ({}, ["measure", "ubiquity", "--m", "2", "--n", "1", "--t", "3", "--seed", "1",
+              "--k", "nan"]),
+        ({}, ["measure", "ubiquity", "--m", "2", "--n", "1", "--t", "3", "--seed", "1",
+              "--k", "inf"]),
+        ({}, ["measure", "delta-t", "--m", "2", "--n", "1", "--psi", "pow:1,2", "--t", "3",
+              "--seed", "1", "--k", "nan"]),
+        ({}, ["measure", "e-t", "--m", "3", "--n", "1", "--t", "8", "--seed", "1",
+              "--samples", "50", "--omega", "pow:1,inf"]),
+        ({}, ["measure", "ubiquity", "--m", "2", "--n", "1", "--t", "3", "--seed", "1",
+              "--samples", "50", "--ball-radius", "nan"]),
+        ({}, ["measure", "ubiquity", "--m", "2", "--n", "1", "--t", "3", "--seed", "1",
+              "--samples", "50", "--ball-center", "nan,0"]),
     ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
             "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
             "dichotomy-no-psi", "threads-env-not-int", "search-X-nan",
             "search-X-nan-no-pruning", "boxdim-tau-nan", "boxdim-tau-minus-1",
-            "boxdim-tau-inf", "boxdim-band-ratio-nan"])
+            "boxdim-tau-inf", "boxdim-band-ratio-nan", "e-t-omega-scale-nan",
+            "e-t-omega-exponent-nan", "ubiquity-k-nan", "ubiquity-k-inf", "delta-t-k-nan",
+            "e-t-omega-scale-inf", "ubiquity-ball-radius-nan", "ubiquity-ball-center-nan"])
     def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)

@@ -14,6 +14,7 @@ from smallforms import (
     tail_dichotomy,
     ubiquity_density,
 )
+from smallforms import measure
 from smallforms.functions import OmegaFunction
 from smallforms.measure import (
     CSV_COLUMNS,
@@ -60,6 +61,30 @@ class TestReport:
             assert int(row[5]) == rep.hits
 
 
+def _agreement_inputs(rng, shape):
+    """Uniform samples of ``shape`` plus the inputs the per-tail rules treat
+    specially: zero and tiny leading entries (a far V-bottom), dyadic entries
+    and, for n = 2, a zero first column of the leading row."""
+    xs = rng.random(shape) - 0.5
+    zero_lead, tiny_lead = xs.copy(), xs.copy()
+    zero_lead[::2, 0] = 0.0
+    tiny_lead[:, 0] *= 1e-2
+    inputs = [xs, zero_lead, tiny_lead, np.floor(xs * 16) / 16]
+    if len(shape) == 3 and shape[2] == 2:
+        zero_col = xs.copy()
+        zero_col[:, 0, 0] = 0.0
+        inputs.append(zero_col)
+    return inputs
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """A cell budget of 128 splits most tail blocks into several chunks of
+    live samples, so drop-out between chunks and blocks is exercised."""
+    monkeypatch.setattr(measure, "_CELL_BUDGET", 128)
+
+
+@pytest.mark.usefixtures("small_chunks")
 class TestEngineAgreement:
     """The interval fast paths must agree exactly with the direct scan."""
 
@@ -70,20 +95,20 @@ class TestEngineAgreement:
                 n_min = int(rng.integers(1, q_max + 1))
                 psi = ApproximatingFunction.power(float(rng.uniform(0.1, 2.0)),
                                                   float(rng.uniform(0.3, 3.0)))
-                xs = rng.random((80, m, 1)) - 0.5
-                fast = batch_has_witness(xs, psi, n_min, q_max)
                 vecs, heights = band_vectors(m, n_min, q_max)
-                slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
-                assert np.array_equal(fast, slow)
+                for xs in _agreement_inputs(rng, (80, m, 1)):
+                    fast = batch_has_witness(xs, psi, n_min, q_max)
+                    slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
+                    assert np.array_equal(fast, slow)
 
     def test_psi_witness_mask_powerlog(self):
         rng = np.random.default_rng(72)
         psi = ApproximatingFunction.power_log(1.0, 1.0, 1.0)
-        xs = rng.random((100, 2, 1)) - 0.5
-        fast = batch_has_witness(xs, psi, 2, 15)
         vecs, heights = band_vectors(2, 2, 15)
-        slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
-        assert np.array_equal(fast, slow)
+        for xs in _agreement_inputs(rng, (100, 2, 1)):
+            fast = batch_has_witness(xs, psi, 2, 15)
+            slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
+            assert np.array_equal(fast, slow)
 
     def test_const_witness_masks(self):
         rng = np.random.default_rng(73)
@@ -91,11 +116,11 @@ class TestEngineAgreement:
             for _ in range(20):
                 t = int(rng.integers(1, 5))
                 bound = dirichlet_bound(m, n, t) * float(rng.uniform(0.3, 1.4))
-                xs = rng.random((60, m, n)) - 0.5
-                fast = _const_witness_mask(xs, bound, 2 ** t)
                 vecs, _ = band_vectors(m, 1, 2 ** t)
-                slow = _direct_union_mask(xs, vecs, np.full(len(vecs), bound), False)
-                assert np.array_equal(fast, slow)
+                for xs in _agreement_inputs(rng, (60, m, n)):
+                    fast = _const_witness_mask(xs, bound, 2 ** t)
+                    slow = _direct_union_mask(xs, vecs, np.full(len(vecs), bound), False)
+                    assert np.array_equal(fast, slow)
 
     def test_rho_witness_masks(self):
         rng = np.random.default_rng(74)
@@ -103,12 +128,12 @@ class TestEngineAgreement:
             for _ in range(20):
                 cap = int(rng.integers(2, 16))
                 rho = float(rng.uniform(1e-4, 0.3))
-                xs = rng.random((60, m)) - 0.5
-                fast = _rho_witness_mask_n1(xs, rho, cap)
                 vecs, _ = band_vectors(m, 1, cap)
                 norms = np.linalg.norm(vecs.astype(float), axis=1)
-                slow = _direct_union_mask(xs.reshape(-1, m, 1), vecs, rho * norms, True)
-                assert np.array_equal(fast, slow)
+                for xs in _agreement_inputs(rng, (60, m)):
+                    fast = _rho_witness_mask_n1(xs, rho, cap)
+                    slow = _direct_union_mask(xs.reshape(-1, m, 1), vecs, rho * norms, True)
+                    assert np.array_equal(fast, slow)
 
     def test_general_n_falls_back_to_direct(self):
         rng = np.random.default_rng(75)
