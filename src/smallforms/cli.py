@@ -125,7 +125,6 @@ class RunConfig:
     q_max: int | None = None
     levels: tuple = ()
     k: float = 2.0
-    c: float | None = None
     omega: str = "pow:1"
     samples: int = 10_000
     seed: int | None = None
@@ -262,22 +261,23 @@ def _matrix_from_config(config) -> MatrixPoint:
 
 def _run_search(config, out):
     X = _matrix_from_config(config)
+    q_max = 10 if config.q_max is None else config.q_max
     if config.psi:
         psi = parse_psi(config.psi)
-        budget = SearchBudget(config.q_max or 10, config.max_witnesses, config.pruning)
+        budget = SearchBudget(q_max, config.max_witnesses, config.pruning)
         result = witnesses(X, psi, budget)
         for w in result.witnesses:
             out(f"q={w.q} height={w.height} value={w.value!r}")
         out(f"{len(result.witnesses)} witness(es); truncated={result.truncated}")
     else:
-        w = min_form(X, config.q_max or 10, pruned=config.pruning)
+        w = min_form(X, q_max, pruned=config.pruning)
         out(f"min |qX| = {w.value!r} at q={w.q} (height {w.height})")
     return []
 
 
 def _run_dirichlet(config, out):
     X = _matrix_from_config(config)
-    t = config.t or 1
+    t = 1 if config.t is None else config.t
     w = dirichlet_witness(X, t)
     out(f"q={w.q} height={w.height} value={w.value!r} (t={t})")
     return []
@@ -294,8 +294,8 @@ def _run_obstruction(config, out):
 def _run_series(config, out):
     mode = config.mode or "verdict"
     if mode == "dimension":
-        if config.tau is None:
-            raise PreconditionError("dimension mode needs --tau")
+        if config.tau is None or not math.isfinite(config.tau):
+            raise PreconditionError("dimension mode needs a finite --tau")
         exact = dimension_formula_exact(config.m, config.n, Fraction(config.tau).limit_denominator(10**9))
         out(f"{exact} ≈ {float(exact):.6f}")
         return []
@@ -418,7 +418,7 @@ def _run_manifold(config, out):
     if mode == "certify":
         pts = sample_gamma_points(config.m, config.n, 1, config.seed or 0)
         psi = parse_psi(config.psi)
-        cert = certify_A_membership(pts[0], psi, config.q_max or 20)
+        cert = certify_A_membership(pts[0], psi, 20 if config.q_max is None else config.q_max)
         out(
             f"certified={cert.certified} c={cert.c} "
             f"witnesses={len(cert.witnesses_checked)} vacuous={cert.vacuous}"

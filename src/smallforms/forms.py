@@ -164,15 +164,12 @@ class UbiquityConfig:
     n: int
     omega: object            # OmegaFunction | StepOmega | callable
     k: float = 2.0
-    density_kappa: float = 0.5
 
     def __post_init__(self):
         if self.m < 2 or self.n < 1:
             raise PreconditionError("need m >= 2 and n >= 1")
         if not 1 < self.k < np.inf:
             raise PreconditionError("dyadic base k must be finite and exceed 1")
-        if not 0 < self.density_kappa < 1:
-            raise PreconditionError("density constant must lie in (0, 1)")
         if not callable(self.omega):
             raise PreconditionError("omega must be callable")
 

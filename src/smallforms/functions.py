@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _E = math.e
+# a power-log psi is non-increasing on r >= 1 iff kappa >= -tau * this ratio:
+# the minimum over r >= 1 of (1 + e/r) ln(e + r), reached where r = e ln(e + r)
+_POWERLOG_KAPPA_RATIO = 3.1461932206205825
 
 
 def _as_fraction(x) -> Fraction:
@@ -49,6 +52,7 @@ class ApproximatingFunction:
     Construction rejects parameters violating that unless ``strict=False`` is
     passed; the escape hatch exists so covering experiments can use inflated
     widths (e.g. psi(r) = m*r) that trivially swallow the whole cube.
+    Non-finite parameters or table entries are always rejected.
     """
 
     family: str
@@ -67,13 +71,17 @@ class ApproximatingFunction:
             v = np.asarray(self.table_v, dtype=float)
             if r.size < 2 or r.size != v.size:
                 raise PreconditionError("table psi needs >= 2 (r, value) pairs")
+            if not np.all(np.isfinite(np.concatenate([r, v]))):
+                raise PreconditionError("table entries must be finite")
             if np.any(np.diff(r) <= 0):
                 raise PreconditionError("table heights must be strictly increasing")
             if np.any(v <= 0):
                 raise PreconditionError("table values must be positive")
-            if self.strict and np.any(np.diff(v) > 0):
+            if self.strict and not self.non_increasing:
                 raise PreconditionError("table values must be non-increasing")
             return
+        if not all(math.isfinite(x) for x in (self.c, self.tau, self.kappa)):
+            raise PreconditionError("psi parameters c, tau and kappa must be finite")
         if not self.c > 0:
             raise PreconditionError("psi scale c must be positive")
         if self.strict:
@@ -81,6 +89,11 @@ class ApproximatingFunction:
             if not decays:
                 raise PreconditionError(
                     "psi must decrease to 0: need tau > 0 (or tau = 0 with kappa > 0)"
+                )
+            if not self.non_increasing:
+                raise PreconditionError(
+                    f"power-log psi increases somewhere on r >= 1: need kappa >= "
+                    f"-{_POWERLOG_KAPPA_RATIO:.4f} tau"
                 )
 
     # -- constructors -------------------------------------------------------
@@ -143,6 +156,20 @@ class ApproximatingFunction:
             self.family, c=factor * float(self.c), tau=self.tau, kappa=self.kappa,
             strict=self.strict,
         )
+
+    @property
+    def non_increasing(self) -> bool:
+        """Whether psi is non-increasing on r >= 1.
+
+        For the power-log family (log psi)' = -tau/r - kappa/((e + r) ln(e + r)),
+        which is <= 0 on r >= 1 exactly when tau >= 0 and
+        kappa >= -tau min_{r >= 1} (1 + e/r) ln(e + r).  The strict
+        construction and the pruned witness search both check this.
+        """
+        if self.family == "table":
+            return bool(np.all(np.diff(self.table_v) <= 0))
+        kappa = self.kappa if self.family == "powerlog" else 0.0
+        return self.tau >= 0 and kappa >= -self.tau * _POWERLOG_KAPPA_RATIO
 
     @property
     def closed_form(self) -> bool:

@@ -225,43 +225,36 @@ def certify_A_membership(point: GammaPoint, psi: ApproximatingFunction,
 # ---------------------------------------------------------------------------
 
 def _sample_eta_batch(rng, count, m, n):
-    """Batch of full matrices from uniform base x coefficients.
+    """Batch of full matrices from uniform base x coefficients, and the
+    (count, n-m+1, m-1) coefficients.
 
-    Rows with a near-dependent base, or whose combination columns leave the
-    cube (possible once m > 3), are redrawn from the same stream until every
-    row is valid, as in :func:`sample_gamma_points`.
+    Rows with a near-dependent base, a coefficient on the cube's edge -1/2,
+    or combination columns leaving the cube (possible once m > 3) are redrawn
+    from the same stream until every row is a valid :class:`EmbeddingInput`.
     """
     out = np.empty((count, m, n))
+    coeffs = np.empty((count, n - m + 1, m - 1))
     todo = np.arange(count)
     while todo.size:
         base = rng.random((todo.size, m, m - 1)) - 0.5
         coeff = rng.random((todo.size, n - m + 1, m - 1)) - 0.5
         combos = np.einsum("smj,scj->smc", base, coeff)
         good = np.linalg.svd(base, compute_uv=False)[..., -1] > _BASE_SV_FLOOR
-        good &= np.all(np.abs(combos) <= 0.5, axis=(1, 2))
+        good &= np.all(np.abs(combos) <= 0.5, axis=(1, 2)) & np.all(coeff > -0.5, axis=(1, 2))
         out[todo[good]] = np.concatenate([base, combos], axis=2)[good]
+        coeffs[todo[good]] = coeff[good]
         todo = todo[~good]
-    return out
+    return out, coeffs
 
 
 def sample_gamma_points(m, n, count, seed) -> list:
-    """Seeded GammaPoint draws under the eta-pushforward measure."""
-    if not 2 <= m <= n:
-        raise PreconditionError("need 2 <= m <= n")
+    """Seeded GammaPoint draws under the eta-pushforward measure: one
+    :func:`_sample_eta_batch` draw, each row embedded by :func:`eta_embed`."""
+    if not 2 <= m <= n or count < 0:
+        raise PreconditionError("need 2 <= m <= n and count >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    out = []
-    while len(out) < count:
-        base = rng.random((m, m - 1)) - 0.5
-        if np.linalg.svd(base, compute_uv=False)[-1] <= _BASE_SV_FLOOR:
-            continue
-        coeff = rng.random((n - m + 1, m - 1)) - 0.5
-        if np.any(np.abs(coeff) >= 0.5):
-            continue
-        try:
-            out.append(eta_embed(EmbeddingInput(base, coeff), n))
-        except OutOfCubeError:
-            continue
-    return out
+    full, coeffs = _sample_eta_batch(rng, count, m, n)
+    return [eta_embed(EmbeddingInput(x[:, : m - 1], a), n) for x, a in zip(full, coeffs)]
 
 
 def gamma_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
@@ -280,7 +273,7 @@ def gamma_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
     # matrices are drawn per fixed-size batch (1024, which fixes the seeded
     # streams) from spawned substreams so the counts are independent of the
     # thread schedule
-    source = _seeded_source(samples, seed, lambda rng, size: _sample_eta_batch(rng, size, m, n),
+    source = _seeded_source(samples, seed, lambda rng, size: _sample_eta_batch(rng, size, m, n)[0],
                             batch=1024)
     return _tail_reports(
         "gamma-dichotomy", m, n, psi, schedule, q_max, source,

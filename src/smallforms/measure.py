@@ -10,15 +10,16 @@ test its own batch, so at most ``threads`` batches are alive at once, and sums
 the counts in batch order, so reports are bit-identical for a fixed master
 seed at any thread count.  Counts below 1 raise :class:`PreconditionError`.
 
-Membership in a union of neighborhoods is decided either by the cached-shell
-scan (every canonical q in the relevant height range against every sample)
-or by one tail loop, ``_tail_exists``: it walks the tails (q_2 .. q_m) of
+Membership in a union of neighborhoods is decided, for every shape (m, n),
+by one tail loop, ``_tail_exists``: it walks the tails (q_2 .. q_m) of
 :mod:`smallforms.search` in ascending dyadic height blocks, tests only the
 samples with no witness yet, in chunks of a fixed cell budget, and asks a
 per-question rule which tails give a sample a witness.  The three rules
 (psi threshold, constant bound, rho-neighborhood) each test the few leading
-coordinates q_1 that their own convexity or interval argument allows; the
-scan is the oracle they are cross-validated against in the test suite.
+coordinates q_1 that their own convexity or interval argument allows.  The
+cached-shell scan (every canonical q of the height range against every
+sample) is the oracle they are cross-validated against in the test suite,
+and the path of delta-t and of a psi that is not convex.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -266,8 +268,6 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
     """
     S, m, n = xs.shape
     K = len(vecs)
-    if K == 0:
-        return np.zeros(S, dtype=bool)
     out = np.zeros(S, dtype=bool)
     chunk = max(1, _CELL_BUDGET // max(K * n, 1))
     flat = xs.reshape(S, m * n)
@@ -276,63 +276,78 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
         block = flat[s0 : s0 + chunk]
         prods = vf @ block.reshape(len(block), m, n).transpose(1, 0, 2).reshape(m, -1)
         prods = np.abs(prods).reshape(K, len(block), n).max(axis=2)
-        if inclusive:
-            hit = prods <= thresholds[:, None]
-        else:
-            hit = prods < thresholds[:, None]
+        hit = prods <= thresholds[:, None] if inclusive else prods < thresholds[:, None]
         out[s0 : s0 + chunk] = hit.any(axis=0)
     return out
 
 
 def _tail_exists(xs, out, cap, hit):
-    """OR into ``out`` the samples that a q = (q_1, tail) with a tail of height
-    <= cap witnesses, and return ``out``.
+    """OR into ``out`` the samples of ``xs`` (S, m, n) that a q = (q_1, tail)
+    with a tail of height <= cap witnesses, and return ``out``.
 
-    ``xs`` is (S, m) for one form or (S, m, n).  Tails are walked in ascending
-    dyadic height blocks; each block tests only the samples with no witness
-    yet, in chunks of about ``_CELL_BUDGET`` cells.  Per chunk the tail
-    products p = tails . x[1:] are formed once, shape (K, s) or (K, s, n), and
-    ``hit(lead, p, tails, th)`` returns the (K, s) mask of tails that give
-    the sample a witness; ``lead`` is x[0] and ``th`` the tail heights.
+    Tails are walked in ascending dyadic height blocks; each block tests only
+    the samples with no witness yet, in chunks of about ``_CELL_BUDGET``
+    cells.  Per chunk one matrix product forms p = tails . x[1:], shape
+    (K, s, n), and ``hit(lead, p, tails, th)`` returns the (K, s) mask of
+    tails giving a witness; ``lead`` is x[0] and ``th`` the tail heights.
     """
-    tails, th_all = _tails(xs.shape[1], cap)
-    cols = xs.shape[2] if xs.ndim == 3 else 1
+    _, m, n = xs.shape
+    tails, th_all = _tails(m, cap)
     for _, block in _dyadic_tail_blocks(th_all, cap):
         alive = np.nonzero(~out)[0]
         if alive.size == 0:
             break
         t_block, th = tails[block], th_all[block]
         tf = t_block.astype(float)
-        chunk = max(1, _CELL_BUDGET // (len(t_block) * cols))
+        chunk = max(1, _CELL_BUDGET // (len(t_block) * n))
         for s0 in range(0, alive.size, chunk):
             idx = alive[s0 : s0 + chunk]
             x = xs[idx]
-            p = tf @ x[:, 1:].T if x.ndim == 2 else np.einsum("km,smn->ksn", tf, x[:, 1:])
-            out[idx] |= hit(x[:, 0], p, t_block, th).any(axis=0)
+            p = tf @ x[:, 1:].transpose(1, 0, 2).reshape(m - 1, -1)
+            out[idx] |= hit(x[:, 0], p.reshape(len(tf), len(idx), n), t_block, th).any(axis=0)
     return out
 
 
-def _v_bottom(lead, p, cap):
-    """floor(-p / lead): the left foot of the V of |q_1 lead + p| over real
-    q_1, clipped to +-(cap + 2); a zero lead's NaN or infinity lands on the clip."""
+def _breakpoint_floors(lead, p, cap):
+    """Floors of the breakpoints of the convex piecewise-linear
+    q_1 -> max_j |q_1 lead_j + p_j|, one (K, s) array at a time: each
+    column's zero (for one column, the foot of the V) and the two crossings
+    of each column pair, clipped to +-(cap + 2), where a zero denominator's
+    NaN or infinity lands.  Every kink of the maximum is among them."""
     pad = cap + 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.divide(p, lead)
-    np.negative(v, out=v)
-    np.nan_to_num(v, copy=False, nan=pad, posinf=pad, neginf=-pad)
-    return np.floor(np.clip(v, -pad, pad, out=v), out=v)
+    cols = range(p.shape[-1])
+    zeros = ((p[..., j], lead[:, j]) for j in cols)
+    crossings = ((p[..., i] + s * p[..., j], lead[:, i] + s * lead[:, j])
+                 for i, j in combinations(cols, 2) for s in (-1.0, 1.0))
+    for num, den in chain(zeros, crossings):  # the zero of num + q_1 den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.divide(num, den)
+        np.negative(v, out=v)
+        np.nan_to_num(v, copy=False, nan=pad, posinf=pad, neginf=-pad)
+        yield np.floor(np.clip(v, -pad, pad, out=v), out=v)
 
 
-def _psi_witness_mask_n1(xs, thr_by_height, n_min, q_max):
-    """Single-form fast path: any q with n_min <= |q| <= q_max and
-    |q.x| < thr(|q|), thr non-increasing and convex on integer heights.
+def _max_form(c, lead, p, out=None):
+    """max_j |c lead_j + p_j| into ``out``, or a new array for c of shape (K, s)."""
+    v = np.multiply(c, lead[:, 0], out=out)
+    np.abs(np.add(v, p[..., 0], out=v), out=v)
+    for j in range(1, p.shape[-1]):
+        np.maximum(v, np.abs(c * lead[:, j] + p[..., j]), out=v)
+    return v
 
-    Per tail, |q_1 x_1 + p| is piecewise linear in q_1 and
-    thr(max(|q_1|, tail_height)) is constant then convex decreasing, so the
-    strict inequality can only hold at one of a handful of candidate q_1
-    values (V-bottom, plateau clamp, inner interval endpoints); everything in
-    between is excluded by convexity.  q = q_1 e_1 seeds the mask: |q_1||x_1|
-    increases and thr does not, so q_1 = max(n_min, 1) decides it.
+
+def _psi_witness_mask(xs, thr_by_height, n_min, q_max):
+    """Any q with n_min <= |q| <= q_max and |qX|_inf < thr(|q|), thr
+    non-increasing and convex on integer heights; ``xs`` is (S, m, n).
+
+    Per tail, thr(max(|q_1|, tail_height)) is constant on |q_1| <= tail
+    height and convex monotone on either side, and |qX|_inf is linear
+    between breakpoints (:func:`_breakpoint_floors`), so on each piece the
+    strict inequality holds somewhere only if it holds at an end: a
+    breakpoint floor or floor + 1 clamped to the box, the plateau or the
+    split range |q_1| >= L, or the inner ends +-L.  q = q_1 e_1 seeds the
+    mask: |q_1| |x_1|_inf increases and thr does not, so q_1 = max(n_min, 1)
+    decides it (and all of m = 1).
     """
     n_eff = max(n_min, 1)
     thr = np.asarray(thr_by_height, dtype=float)
@@ -341,31 +356,32 @@ def _psi_witness_mask_n1(xs, thr_by_height, n_min, q_max):
     def hit(lead, p, tails, th):
         L = np.where(th >= n_min, 0, n_min)[:, None].astype(float)  # inner end of a split range
         plateau = np.minimum(th, q_max)[:, None]
-        f1 = _v_bottom(lead, p, q_max)
         gates = ((-cap, cap), (-plateau, plateau), (L, cap), (-cap, -L))
-        pairs = [(base, gate) for base in (f1, f1 + 1.0) for gate in gates]
-        if np.any(L > 0):
-            pairs += [(f1, (L, L)), (f1, (-L, -L))]  # the inner ends +-L, as one-point gates
 
         def passes(c):  # its temporaries die on return, before the next candidate
             absc = np.abs(c)
             heights = np.maximum(absc.astype(np.int64), th[:, None])
             ok = (absc <= q_max) & ((L == 0) | (absc >= L)) & (heights >= n_eff)
-            return ok & (np.abs(c * lead + p) < thr[np.minimum(heights, len(thr) - 1)])
+            return ok & (_max_form(c, lead, p) < thr[np.minimum(heights, len(thr) - 1)])
 
-        found = np.zeros(p.shape, dtype=bool)
-        for base, (lo, hi) in pairs:
-            found |= passes(np.clip(base, lo, hi))
+        found = np.zeros(p.shape[:2], dtype=bool)
+        for end in (L, -L) if np.any(L > 0) else ():
+            found |= passes(np.broadcast_to(end, found.shape))
+        for base in _breakpoint_floors(lead, p, q_max):
+            for _ in range(2):  # the floor, then floor + 1
+                for lo, hi in gates:
+                    found |= passes(np.clip(base, lo, hi))
+                base += 1.0
         return found
 
-    return _tail_exists(xs, n_eff * np.abs(xs[:, 0]) < thr[n_eff], q_max, hit)
+    return _tail_exists(xs, n_eff * np.max(np.abs(xs[:, 0]), axis=1) < thr[n_eff], q_max, hit)
 
 
 def _const_witness_mask(xs, bound, height_cap):
     """Any nonzero q with |q| <= cap and max_j |q.x_j| < bound.
 
-    General n: per tail the admissible leading coordinates form an open
-    interval, so existence is an integer-in-interval test.
+    Per tail the admissible leading coordinates form an open interval, so
+    existence is an integer-in-interval test.
     """
     if height_cap < 1:
         return np.zeros(len(xs), dtype=bool)
@@ -374,64 +390,61 @@ def _const_witness_mask(xs, bound, height_cap):
         k_lo, k_hi = _k_range(*_interval_bounds(p, lead, bound), height_cap)
         return k_lo <= k_hi
 
-    return _tail_exists(xs, np.max(np.abs(xs[:, 0, :]), axis=1) < bound, height_cap, hit)
+    return _tail_exists(xs, np.max(np.abs(xs[:, 0]), axis=1) < bound, height_cap, hit)
 
 
-def _rho_witness_mask_n1(xs, rho, height_cap):
-    """Any nonzero q, |q| <= cap, with |q.x| <= rho |q|_2 (single form).
+def _rho_witness_mask(xs, rho, height_cap):
+    """Any nonzero q, |q| <= cap, with |qX|_inf <= rho |q|_2; ``xs`` is (S, m, n).
 
-    Candidates: the V-bottom of |q_1 x_1 + p|, q_1 = 0, and the box ends;
-    between them |q_1 x_1 + p| - rho |q|_2 is concave, so these suffice.
-    q = q_1 e_1 seeds the mask: |x_1| <= rho at any height.  The two sides
-    of the test reuse one buffer each across the candidates.
+    Candidates: the breakpoint floors and floors + 1 of q_1 -> |qX|_inf
+    (:func:`_breakpoint_floors`), q_1 = 0 and the box ends; on each linear
+    piece |qX|_inf - rho |q|_2 is concave, so its ends suffice.  q = q_1 e_1
+    seeds the mask: |x_1|_inf <= rho at any height.
     """
     cap = float(height_cap)
 
     def hit(lead, p, tails, th):
         norm_sq = (tails.astype(float) ** 2).sum(axis=1)[:, None]
-        f1 = _v_bottom(lead, p, height_cap)
-        f2 = np.clip(f1 + 1.0, -cap, cap)
-        np.clip(f1, -cap, cap, out=f1)
-        lhs, rhs = np.empty_like(p), np.empty_like(p)
-        found = np.zeros(p.shape, dtype=bool)
-        for c in (0.0, -cap, cap, f1, f2):
-            np.abs(np.add(np.multiply(c, lead, out=lhs), p, out=lhs), out=lhs)
+        lhs, rhs = np.empty(p.shape[:2]), np.empty(p.shape[:2])
+        found = np.zeros(p.shape[:2], dtype=bool)
+
+        def test(c):
+            _max_form(c, lead, p, out=lhs)
             np.sqrt(np.add(np.multiply(c, c, out=rhs), norm_sq, out=rhs), out=rhs)
-            found |= lhs <= np.multiply(rho, rhs, out=rhs)
+            found[...] |= lhs <= np.multiply(rho, rhs, out=rhs)
+
+        for c in (0.0, -cap, cap):
+            test(c)
+        for base in _breakpoint_floors(lead, p, height_cap):
+            test(np.clip(base, -cap, cap))
+            base += 1.0
+            test(np.clip(base, -cap, cap, out=base))
         return found
 
-    return _tail_exists(xs, np.abs(xs[:, 0]) <= rho, height_cap, hit)
+    return _tail_exists(xs, np.max(np.abs(xs[:, 0]), axis=1) <= rho, height_cap, hit)
 
 
 def _fast_psi_path_ok(psi):
-    """The single-form candidate argument needs thr convex non-increasing."""
-    if psi.family == "power":
-        return psi.tau > 0
-    if psi.family == "powerlog":
-        return psi.tau > 0 and psi.kappa >= 0
-    return False
+    """The per-tail candidate argument needs thr convex non-increasing."""
+    return psi.closed_form and psi.tau > 0 and (psi.family == "power" or psi.kappa >= 0)
 
 
 def batch_has_witness(xs, psi: ApproximatingFunction, n_min, q_max, scale=1.0):
     """Mask of samples having a witness n_min <= |q| <= q_max for scale*psi.
 
-    ``xs`` is (S, m, n).  Dispatches to the single-form interval path when
-    sound, otherwise to the direct cached-shell scan (budget-guarded).
+    ``xs`` is (S, m, n).  A convex non-increasing psi (power, or power-log
+    with kappa >= 0) goes to the per-tail psi rule at every shape; any other
+    psi to the direct cached-shell scan (budget-guarded).
     """
     S, m, n = xs.shape
     if n_min < 1 or q_max < n_min:
         raise PreconditionError("need 1 <= n_min <= q_max")
-    if n == 1 and _fast_psi_path_ok(psi) and m >= 2:
-        heights = np.arange(q_max + 1, dtype=float)
-        thr = np.empty(q_max + 1)
-        thr[0] = np.inf
-        thr[1:] = scale * psi(heights[1:])
-        return _psi_witness_mask_n1(xs.reshape(S, m), thr, n_min, q_max)
+    if _fast_psi_path_ok(psi):
+        thr = np.concatenate(([np.inf], scale * psi(np.arange(1.0, q_max + 1))))
+        return _psi_witness_mask(xs, thr, n_min, q_max)
     est_cells = ((2 * q_max + 1) ** m // 2) * S * n
     if est_cells > _SCAN_BUDGET:
-        raise BudgetExceededError(
-            f"direct witness scan of ~{est_cells:.1e} cells is over budget"
-        )
+        raise BudgetExceededError(f"direct witness scan of ~{est_cells:.1e} cells is over budget")
     vecs, heights = band_vectors(m, n_min, q_max)
     thr = scale * psi(heights.astype(float))
     return _direct_union_mask(xs, vecs, thr, inclusive=False)
@@ -537,23 +550,9 @@ def _ubiquity(experiment, m, n, config, t, source, seed, threads, center, radius
     height_cap = math.floor(config.k ** t)
     rho = float(config.rho(t))
 
-    if n != 1:
-        est = ((2 * height_cap + 1) ** m // 2) * source[0] * n
-        if est > _SCAN_BUDGET:
-            raise BudgetExceededError("J(t) too large for the direct scan at this sample count")
-    fast = n == 1 and m >= 2
-    if not fast:
-        vecs, _ = band_vectors(m, 1, height_cap)
-        thresholds = rho * np.linalg.norm(vecs.astype(float), axis=1)
-
     def tester(batch):
         pts = center[None, :] + (2 * radius) * batch   # batch is uniform on [-1/2,1/2)
-        xs = pts.reshape(len(pts), m, n)
-        if fast:
-            mask = _rho_witness_mask_n1(xs.reshape(len(xs), m), rho, height_cap)
-        else:
-            mask = _direct_union_mask(xs, vecs, thresholds, inclusive=True)
-        return int(mask.sum())
+        return int(_rho_witness_mask(pts.reshape(len(pts), m, n), rho, height_cap).sum())
 
     start = time.perf_counter()
     hits, total = _run(source, tester, threads)

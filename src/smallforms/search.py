@@ -221,8 +221,11 @@ def witnesses(X: MatrixPoint, psi: ApproximatingFunction, budget: SearchBudget) 
     """All canonical q with 0 < |q| <= Q and |qX|_inf < psi(|q|).
 
     Output is sorted by height then lexicographically; ``truncated`` reports
-    whether the optional cap cut the list short.
+    whether the optional cap cut the list short.  The pruned engine needs a
+    non-increasing psi and raises :class:`PreconditionError` otherwise.
     """
+    if budget.pruning and not psi.non_increasing:
+        raise PreconditionError("the pruned witness search needs a non-increasing psi")
     raw = (
         _witnesses_tails(X, psi, budget.q_max)
         if budget.pruning

@@ -346,8 +346,10 @@ def sum_equivalence_check(alpha, beta, psi: ApproximatingFunction,
     ratio drift over the tail is flat enough to call the sums equivalent
     (a condensation sanity check, not a proof).
     """
-    if k <= 1:
-        raise PreconditionError("k must exceed 1")
+    if not 1 < k < math.inf:
+        raise PreconditionError("k must be finite and exceed 1")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise PreconditionError("alpha and beta must be finite")
     t_max = int(math.floor(math.log(horizon, k)))
     if t_max < 4:
         raise HorizonTooSmallError("horizon admits fewer than 4 dyadic checkpoints")

@@ -208,13 +208,31 @@ class TestDispatch:
               "--samples", "50", "--ball-radius", "nan"]),
         ({}, ["measure", "ubiquity", "--m", "2", "--n", "1", "--t", "3", "--seed", "1",
               "--samples", "50", "--ball-center", "nan,0"]),
+        ({}, ["search", "--m", "2", "--n", "1", "--X", "0.5,0.25", "--Q", "4", "--psi", "pow:1,inf"]),
+        ({}, ["series", "verdict", "--m", "2", "--n", "1", "--psi", "powlog:1,2,nan", "--f", "pow:2"]),
+        ({}, ["series", "verdict", "--m", "2", "--n", "1", "--psi", "pow:inf,2", "--f", "pow:2"]),
+        ({}, ["search", "--m", "2", "--n", "1", "--X", "0.3,0.25", "--Q", "20",
+              "--psi", "powlog:0.02,0.1,-5"]),
+        ({}, ["search", "--m", "2", "--n", "1", "--X", "0.5,0.25", "--Q", "0"]),
+        ({}, ["dirichlet", "--m", "2", "--n", "1", "--X", "0.5,0.25", "--t", "0"]),
+        ({}, ["manifold", "certify", "--m", "2", "--n", "2", "--psi", "pow:1,1", "--Q", "0",
+              "--seed", "1"]),
+        ({}, ["dimension", "--tau", "inf"]),
+        ({}, ["dimension", "--tau", "nan"]),
+        ({}, ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1", "--alpha", "1",
+              "--beta", "0", "--k", "nan", "--horizon", "65536"]),
+        ({}, ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1", "--alpha", "nan",
+              "--beta", "0", "--horizon", "65536"]),
     ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
             "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
             "dichotomy-no-psi", "threads-env-not-int", "search-X-nan",
             "search-X-nan-no-pruning", "boxdim-tau-nan", "boxdim-tau-minus-1",
             "boxdim-tau-inf", "boxdim-band-ratio-nan", "e-t-omega-scale-nan",
             "e-t-omega-exponent-nan", "ubiquity-k-nan", "ubiquity-k-inf", "delta-t-k-nan",
-            "e-t-omega-scale-inf", "ubiquity-ball-radius-nan", "ubiquity-ball-center-nan"])
+            "e-t-omega-scale-inf", "ubiquity-ball-radius-nan", "ubiquity-ball-center-nan",
+            "psi-tau-inf", "psi-kappa-nan", "psi-c-inf", "psi-power-log-increasing",
+            "search-Q-0", "dirichlet-t-0", "certify-Q-0", "dimension-tau-inf",
+            "dimension-tau-nan", "equivalence-k-nan", "equivalence-alpha-nan"])
     def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)

@@ -178,4 +178,4 @@ class TestUbiquityConfig:
         with pytest.raises(PreconditionError):
             UbiquityConfig(2, 1, OmegaFunction.power(1.0), k=1.0)
         with pytest.raises(PreconditionError):
-            UbiquityConfig(2, 1, OmegaFunction.power(1.0), density_kappa=1.5)
+            UbiquityConfig(2, 1, OmegaFunction.power(1.0), k=math.inf)

@@ -31,6 +31,25 @@ class TestApproximatingFunction:
         with pytest.raises(PreconditionError):
             ApproximatingFunction.power_log(1.0, 0.0, -2.0)
 
+    def test_rejects_non_finite_parameters(self):
+        for make in (lambda: ApproximatingFunction.power(1.0, math.inf),
+                     lambda: ApproximatingFunction.power(math.inf, 2.0),
+                     lambda: ApproximatingFunction.power_log(1.0, 2.0, math.nan),
+                     lambda: ApproximatingFunction.power(1.0, math.nan, strict=False),
+                     lambda: ApproximatingFunction.from_table([(1, 0.5), (2, math.inf)])):
+            with pytest.raises(PreconditionError):
+                make()
+
+    def test_power_log_must_not_increase(self):
+        # (log psi)' <= 0 on r >= 1 exactly when kappa >= -3.146 tau
+        with pytest.raises(PreconditionError):
+            ApproximatingFunction.power_log(0.02, 0.1, -5.0)
+        assert ApproximatingFunction.power_log(0.5, 1.2, -0.3).non_increasing
+        r = np.linspace(1.0, 200.0, 100_001)
+        for kappa in (-3.14, -3.15):
+            psi = ApproximatingFunction.power_log(1.0, 1.0, kappa, strict=False)
+            assert psi.non_increasing == bool(np.all(np.diff(psi(r)) <= 0))
+
     def test_relaxed_mode_admits_growth(self):
         # covering experiments need inflated widths like psi(r) = 2r
         psi = ApproximatingFunction.power(2.0, -1.0, strict=False)

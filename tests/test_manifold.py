@@ -200,8 +200,8 @@ class TestGammaDichotomy:
     def test_eta_batches_stay_in_the_cube(self):
         # at m = 4 a combination column can leave the cube (sum |a_j| reaches 3/2)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-        xs = _sample_eta_batch(rng, 1024, 4, 4)
-        assert np.all(np.abs(xs) <= 0.5)
+        xs, coeffs = _sample_eta_batch(rng, 1024, 4, 4)
+        assert np.all(np.abs(xs) <= 0.5) and np.all(np.abs(coeffs) < 0.5)
         assert np.all(np.abs(np.linalg.det(xs)) <= 1e-12)
 
 

@@ -21,7 +21,7 @@ from smallforms.measure import (
     ExperimentReport,
     _const_witness_mask,
     _direct_union_mask,
-    _rho_witness_mask_n1,
+    _rho_witness_mask,
     batch_has_witness,
     delta_t_quadrature,
     reports_to_csv_rows,
@@ -90,16 +90,27 @@ class TestEngineAgreement:
 
     def test_psi_witness_masks(self):
         rng = np.random.default_rng(71)
-        for m, q_max in ((2, 20), (3, 9)):
-            for _ in range(25):
+        for m, n, q_max, draws in ((2, 1, 20, 25), (3, 1, 9, 25), (2, 2, 12, 10), (3, 2, 6, 6),
+                                   (2, 3, 10, 6)):
+            for _ in range(draws):
                 n_min = int(rng.integers(1, q_max + 1))
                 psi = ApproximatingFunction.power(float(rng.uniform(0.1, 2.0)),
                                                   float(rng.uniform(0.3, 3.0)))
                 vecs, heights = band_vectors(m, n_min, q_max)
-                for xs in _agreement_inputs(rng, (80, m, 1)):
+                for xs in _agreement_inputs(rng, (80, m, n)):
                     fast = batch_has_witness(xs, psi, n_min, q_max)
                     slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
                     assert np.array_equal(fast, slow)
+
+    def test_psi_inner_end_candidate(self):
+        # the tail q_2 = 1 sits below N = 4 and the V-bottom 6.5 lies beyond
+        # it, so only the inner end q_1 = N of the split range is a witness
+        xs = np.array([[[0.02], [-0.13]]])
+        psi = ApproximatingFunction.power(300.0, 6.0)
+        vecs, heights = band_vectors(2, 4, 8)
+        values = np.abs(vecs @ xs[0, :, 0])
+        assert vecs[values < psi(heights.astype(float))].tolist() == [[4, 1]]
+        assert batch_has_witness(xs, psi, 4, 8).tolist() == [True]
 
     def test_psi_witness_mask_powerlog(self):
         rng = np.random.default_rng(72)
@@ -124,25 +135,16 @@ class TestEngineAgreement:
 
     def test_rho_witness_masks(self):
         rng = np.random.default_rng(74)
-        for m in (2, 3):
-            for _ in range(20):
+        for m, n, draws in ((2, 1, 20), (3, 1, 20), (2, 2, 10), (3, 2, 6), (2, 3, 6)):
+            for _ in range(draws):
                 cap = int(rng.integers(2, 16))
                 rho = float(rng.uniform(1e-4, 0.3))
                 vecs, _ = band_vectors(m, 1, cap)
                 norms = np.linalg.norm(vecs.astype(float), axis=1)
-                for xs in _agreement_inputs(rng, (60, m)):
-                    fast = _rho_witness_mask_n1(xs, rho, cap)
-                    slow = _direct_union_mask(xs.reshape(-1, m, 1), vecs, rho * norms, True)
+                for xs in _agreement_inputs(rng, (60, m, n)):
+                    fast = _rho_witness_mask(xs, rho, cap)
+                    slow = _direct_union_mask(xs, vecs, rho * norms, True)
                     assert np.array_equal(fast, slow)
-
-    def test_general_n_falls_back_to_direct(self):
-        rng = np.random.default_rng(75)
-        psi = ApproximatingFunction.power(1.0, 1.0)
-        xs = rng.random((40, 2, 2)) - 0.5
-        mask = batch_has_witness(xs, psi, 1, 6)
-        vecs, heights = band_vectors(2, 1, 6)
-        slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
-        assert np.array_equal(mask, slow)
 
 
 class TestDeltaT:

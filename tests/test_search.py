@@ -141,6 +141,16 @@ class TestWitnesses:
         keys = [(max(abs(v) for v in q), q) for q in qs]
         assert keys == sorted(keys)
 
+    def test_pruned_needs_non_increasing_psi(self):
+        # the pruned bound psi(tail height) undercounts where psi grows
+        X = col(0.31, 0.2437)
+        for psi in (ApproximatingFunction.from_table([(1, 0.01), (3, 0.5)], strict=False),
+                    ApproximatingFunction.power_log(0.02, 0.1, -5.0, strict=False)):
+            with pytest.raises(PreconditionError):
+                witnesses(X, psi, SearchBudget(20))
+            naive = witnesses(X, psi, SearchBudget(20, pruning=False))
+            assert [w.q for w in naive] == oracle_witnesses(X, psi, 20)
+
     def test_pruned_equals_naive_across_shapes(self):
         rng = np.random.default_rng(23)
         psi = ApproximatingFunction.power(1.0, 1.5)
