@@ -146,6 +146,17 @@ class TestEngineAgreement:
                     slow = _direct_union_mask(xs, vecs, rho * norms, True)
                     assert np.array_equal(fast, slow)
 
+    def test_general_n_falls_back_to_direct(self):
+        # n = 2 takes the same per-tail psi rule as n = 1; its mask must still
+        # equal the direct shell scan it once fell back to
+        rng = np.random.default_rng(75)
+        psi = ApproximatingFunction.power(1.0, 1.0)
+        xs = rng.random((40, 2, 2)) - 0.5
+        mask = batch_has_witness(xs, psi, 1, 6)
+        vecs, heights = band_vectors(2, 1, 6)
+        slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
+        assert np.array_equal(mask, slow)
+
 
 class TestDeltaT:
     def test_vanishing_widths(self):
