@@ -235,9 +235,9 @@ def _column_mask_2d(q, threshold, level):
     return (cols[None, :] >= j0[:, None]) & (cols[None, :] < j1[:, None])
 
 
-def _gamma_mask_2x2(level, start=0, stop=None):
-    """4-dim cells whose interval determinant hull contains 0 (rank <= 1),
-    for the first-axis cells [start, stop) (all of them by default).
+def _gamma_window(level):
+    """Test of the 4-dim cells (i1, i2, i3, i4), index arrays that broadcast,
+    whose interval determinant hull contains 0 (rank <= 1).
 
     det_lo <= 0 is tested as a_lo <= b_hi: for finite floats the rounded
     difference is zero only at equality and otherwise keeps its sign.
@@ -256,27 +256,43 @@ def _gamma_mask_2x2(level, start=0, stop=None):
     # axes (i1, i2, i3, i4) = (x11, x21, x12, x22); det = x11 x22 - x12 x21
     a_lo, a_hi = prod_interval(lo, hi, lo, hi)     # x11 * x22 over (i1, i4)
     b_lo, b_hi = prod_interval(lo, hi, lo, hi)     # x12 * x21 over (i3, i2)
-    a_lo, a_hi = a_lo[start:stop, None, None, :], a_hi[start:stop, None, None, :]
-    return (a_lo <= b_hi.T[None, :, :, None]) & (a_hi >= b_lo.T[None, :, :, None])
+    w = len(lo)
+
+    def window(i1, i2, i3, i4):
+        ka, kb = i1 * w + i4, i3 * w + i2   # flat indices of (i1, i4) and (i3, i2)
+        return (np.take(a_lo, ka) <= np.take(b_hi, kb)) & (np.take(a_hi, ka) >= np.take(b_lo, kb))
+
+    return window
+
+
+def _gamma_mask_2x2(level, start=0, stop=None):
+    """Dense :func:`_gamma_window` over the first-axis cells [start, stop)
+    (all of them by default)."""
+    w = 1 << level
+    return _gamma_window(level)(*np.ogrid[start:w if stop is None else stop, :w, :w, :w])
 
 
 def _product_union_count(masks, level, gamma_window):
     """Cells (i1, i2, i3, i4) with masks[s, i1, i2] & masks[s, i3, i4] for
-    some slab s, restricted to :func:`_gamma_mask_2x2` when ``gamma_window``.
+    some slab s, restricted to :func:`_gamma_window` when ``gamma_window``.
 
     Over each block of i1 the product union is the 0/1 matrix product of the
     flattened masks: every entry is an exact small integer in float32 (it
     counts the slabs covering the cell), so "> 0" is the exact union for any
-    summation order.
+    summation order.  The window is tested only at the cells of the union.
     """
     w = 1 << level
     flat = np.array(masks, dtype=np.float32).reshape(len(masks), w * w)
+    window = _gamma_window(level) if gamma_window else None
     total = 0
     for a, b in _row_blocks(4, w):
         union = (flat[:, a * w:b * w].T @ flat).reshape(b - a, w, w, w) > 0
-        if gamma_window:
-            union &= _gamma_mask_2x2(level, a, b)
-        total += int(np.count_nonzero(union))
+        if window is None:
+            total += int(np.count_nonzero(union))
+        else:
+            cells = np.flatnonzero(union)   # (((i1 - a) w + i2) w + i3) w + i4, w = 2^level
+            i2, i3, i4 = ((cells >> k * level) & (w - 1) for k in (2, 1, 0))
+            total += int(np.count_nonzero(window((cells >> 3 * level) + a, i2, i3, i4)))
     return total
 
 

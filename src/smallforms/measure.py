@@ -14,12 +14,24 @@ Membership in a union of neighborhoods is decided, for every shape (m, n),
 by one tail loop, ``_tail_exists``: it walks the tails (q_2 .. q_m) of
 :mod:`smallforms.search` in ascending dyadic height blocks, tests only the
 samples with no witness yet, in chunks of a fixed cell budget, and asks a
-per-question rule which tails give a sample a witness.  The three rules
-(psi threshold, constant bound, rho-neighborhood) each test the few leading
-coordinates q_1 that their own convexity or interval argument allows.  The
-cached-shell scan (every canonical q of the height range against every
-sample) is the oracle they are cross-validated against in the test suite,
-and the path of delta-t and of a psi that is not convex.
+per-question rule which tails give a sample a witness.  The two rules (psi
+threshold, rho-neighborhood) each test the few leading coordinates q_1 that
+their own convexity argument allows.
+
+The excess-height sets ask a question with a constant bound: is there a
+nonzero q with |q|_inf <= H and |qX|_inf < b?  That is a lattice point of
+{(q/H, qX/b)} in the unit cube, and ``_box_witness_mask`` answers it for a
+whole stack of samples by LLL reduction (Lenstra, Lenstra & Lovász 1982) and
+enumeration of the coefficients within the dual-norm bounds of Fincke &
+Pohst (1985), so its cost does not grow with H.  Its radius is widened by a
+computed bound on the rounding of the reduced bases, of order
+m eps H max|x| / b; where that bound exceeds ``_ROUNDING_LIMIT`` it raises
+:class:`BudgetExceededError` instead of answering, which at the pigeonhole
+bound with omega(t) = t is from t = 27 at (2, 1), t = 18 at (3, 1) and t = 13
+at (4, 1).  The cached-shell scan (every canonical q of the height range
+against every sample) is the oracle all three are cross-validated against in
+the test suite, and the path of delta-t and of a psi whose threshold table is
+not convex.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -35,8 +48,8 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError
 from .forms import DISTANCE_CONVENTION
 from .functions import ApproximatingFunction
-from .search import (_dyadic_tail_blocks, _interval_bounds, _k_range, _tails, band_vectors,
-                     dirichlet_bound)
+from .search import (_BOX_CELL_CAP, _canonical_rows, _dyadic_tail_blocks, _float_power_of_two,
+                     _tails, band_vectors, dirichlet_bound)
 
 __all__ = [
     "ExperimentReport",
@@ -54,6 +67,9 @@ __all__ = [
 _BATCH = 4096
 _CELL_BUDGET = 1 << 21          # target elementwise cells per vector pass
 _SCAN_BUDGET = 60_000_000_000   # q-cells * samples guard for the direct scan
+_LLL_DELTA = 0.99               # Lovász constant of the box engine's reduction
+_LLL_PASSES = 10_000            # pass cap of the reduction, against cycling under rounding
+_ROUNDING_LIMIT = 0.25          # largest rounding bound the box engine answers under
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +393,152 @@ def _psi_witness_mask(xs, thr_by_height, n_min, q_max):
     return _tail_exists(xs, n_eff * np.max(np.abs(xs[:, 0]), axis=1) < thr[n_eff], q_max, hit)
 
 
-def _const_witness_mask(xs, bound, height_cap):
-    """Any nonzero q with |q| <= cap and max_j |q.x_j| < bound.
+def _gram_schmidt(b):
+    """Gram-Schmidt coefficients mu (unit diagonal) and squared norms |b_i*|^2
+    of the rows of every basis in the stack ``b`` (S, m, d)."""
+    S, m, _ = b.shape
+    mu = np.zeros((S, m, m))
+    star = np.empty_like(b)
+    norms = np.empty((S, m))
+    for i in range(m):
+        v = b[:, i].copy()
+        for j in range(i):  # modified Gram-Schmidt
+            mu[:, i, j] = np.einsum("sd,sd->s", v, star[:, j]) / norms[:, j]
+            v -= mu[:, i, j, None] * star[:, j]
+        star[:, i], norms[:, i], mu[:, i, i] = v, np.einsum("sd,sd->s", v, v), 1.0
+    return mu, norms
 
-    Per tail the admissible leading coordinates form an open interval, so
-    existence is an integer-in-interval test.
+
+def _lll_transform(basis):
+    """Unimodular int64 U (S, m, m) such that the rows of U @ basis are
+    LLL-reduced (Lovász constant ``_LLL_DELTA``), for a stack (S, m, d).
+
+    Every pass rebuilds the bases from U, size-reduces them and swaps each
+    basis's first pair that fails the Lovász condition; a basis leaves once
+    none does.  U changes only by integer row operations, so it stays exactly
+    unimodular whatever the rounding; rounding can only make the reduction
+    weaker, and ``_LLL_PASSES`` bounds the passes should it ever cycle.
     """
-    if height_cap < 1:
-        return np.zeros(len(xs), dtype=bool)
+    S, m, _ = basis.shape
+    U = np.tile(np.eye(m, dtype=np.int64), (S, 1, 1))
+    live = np.arange(S if m > 1 else 0)
+    for _ in range(_LLL_PASSES):
+        if live.size == 0:
+            break
+        u = U[live]
+        mu, norms = _gram_schmidt(u.astype(float) @ basis[live])
+        for i in range(1, m):
+            for j in range(i - 1, -1, -1):
+                r = np.rint(mu[:, i, j])
+                u[:, i] -= r.astype(np.int64)[:, None] * u[:, j]
+                mu[:, i, : j + 1] -= r[:, None] * mu[:, j, : j + 1]
+        sub = np.arange(1, m)
+        bad = norms[:, 1:] < (_LLL_DELTA - mu[:, sub, sub - 1] ** 2) * norms[:, :-1]
+        swap = np.nonzero(bad.any(axis=1))[0]
+        k = np.argmax(bad[swap], axis=1) + 1
+        u[swap, k - 1], u[swap, k] = u[swap, k], u[swap, k - 1].copy()
+        U[live] = u
+        live = live[swap]
+    return U
 
-    def hit(lead, p, tails, th):
-        k_lo, k_hi = _k_range(*_interval_bounds(p, lead, bound), height_cap)
-        return k_lo <= k_hi
 
-    return _tail_exists(xs, np.max(np.abs(xs[:, 0]), axis=1) < bound, height_cap, hit)
+@lru_cache(maxsize=256)
+def _coefficient_box(bounds):
+    """Integer c with |c_i| <= bounds[i] whose first nonzero entry is positive
+    (one of each pair +-c), shape (P, m)."""
+    if math.prod(2 * k + 1 for k in bounds) > _BOX_CELL_CAP:
+        raise BudgetExceededError(f"coefficient box {bounds} of a reduced basis is over budget")
+    axes = [np.arange(-k, k + 1, dtype=np.int64) for k in bounds]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bounds))
+    box = box[box.any(axis=1)]
+    box = box[_canonical_rows(box)]
+    box.flags.writeable = False
+    return box
+
+
+def _box_hits(q, xs, bound, height_cap):
+    """(s, K) mask of the candidates q (s, K, m) of each sample of ``xs``
+    (s, m, n) with |q|_inf <= cap and max_j |q.x_j| < bound: the oracle's
+    own filter, the matrix product q X of :func:`_direct_union_mask`."""
+    values = np.abs(q.astype(float) @ xs).max(axis=2)
+    return (np.abs(q).max(axis=2) <= height_cap) & (values < bound)
+
+
+def _box_witness_mask(xs, bound, height_cap):
+    """Any nonzero q with |q|_inf <= cap and max_j |q.x_j| < bound, for the
+    samples ``xs`` (S, m, n).
+
+    q lies in the box iff the lattice point qB, B with rows (e_i / cap,
+    x_i / bound), lies in the unit cube of R^(m+n), hence in the ball of
+    radius r = sqrt(m + n) (1 + prior): a rounded |q.x_j| below the bound
+    may exceed it exactly by up to prior = (m + 2) eps cap max|x| / bound.
+    q = e_1 seeds the mask.  Every other basis is LLL-reduced (Lenstra,
+    Lenstra & Lovász 1982), B' = U B with U exact; the +-rows of U are tested
+    first, and for the samples they leave the lattice points of the ball are
+    c B' with |c_i| <= r |d_i|, d_i the dual basis rows (the bound of
+    Fincke & Pohst 1985), enumerated per group of equal bound tuples in
+    chunks of about ``_CELL_BUDGET`` cells.  Candidates q = c U pass through
+    the oracle's filter (:func:`_box_hits`).
+
+    Rounding can add candidates but not drop them.  B' is rebuilt from U in
+    floats, row k with an error e_k <= (m + 2) eps |(|U| |B|)_k|; then every
+    c of the ball satisfies |c_i| <= r |d_i| / (1 - rho) with
+    rho = sum_k e_k |d_k| (each |c_i| / |d_i| is at most r plus
+    sum_k e_k |d_k| times the largest of them).  The computed dual norms
+    carry a first-order relative error below
+    s = 2 (m + n + 2) eps (sum_k |b'_k| |d_k|)^2, which LLL keeps small.
+    The radius is widened by both.  When prior, the a priori size of rho,
+    or rho or s themselves exceed ``_ROUNDING_LIMIT``, the bound would not be
+    small and :class:`BudgetExceededError` is raised instead of an answer.
+    """
+    S, m, n = xs.shape
+    out = np.zeros(S, dtype=bool)
+    if height_cap < 1 or not bound > 0:
+        return out
+    eps = np.finfo(float).eps
+    prior = (m + 2) * eps * height_cap * float(np.max(np.abs(xs), initial=0.0)) / bound
+    if prior > _ROUNDING_LIMIT:
+        raise BudgetExceededError(
+            f"rounding error of the lattice basis at height {height_cap} and bound {bound:.3g} "
+            "is not small; this box question is out of reach in double precision")
+    out |= np.max(np.abs(xs[:, 0]), axis=1) < bound
+    live = np.nonzero(~out)[0]
+    if live.size == 0:
+        return out
+    x = xs[live]
+    basis = np.concatenate(
+        [np.broadcast_to(np.eye(m) / height_cap, (len(live), m, m)), x / bound], axis=2)
+    U = _lll_transform(basis)
+    out[live] = _box_hits(U, x, bound, height_cap).any(axis=1)
+    keep = ~out[live]
+    live, x, basis, U = live[keep], x[keep], basis[keep], U[keep]
+    if live.size == 0:
+        return out
+
+    reduced = U.astype(float) @ basis
+    gram = reduced @ reduced.transpose(0, 2, 1)
+    dual_norms = np.sqrt(np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2))
+    row_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    rebuild_err = (m + 2) * eps * np.linalg.norm(np.abs(U) @ np.abs(basis), axis=2)
+    rho = (rebuild_err * dual_norms).sum(axis=1)
+    slack = 2 * (m + n + 2) * eps * (row_norms * dual_norms).sum(axis=1) ** 2
+    if max(rho.max(), slack.max()) > _ROUNDING_LIMIT:
+        raise BudgetExceededError(
+            f"rounding bound {max(rho.max(), slack.max()):.3g} of the reduced lattice bases "
+            "is not small; this box question is out of reach in double precision")
+    radius = math.sqrt(m + n) * (1.0 + prior) * (1.0 + slack) / (1.0 - rho)
+    bounds = np.floor(radius[:, None] * dual_norms).astype(np.int64)
+    keys, group = np.unique(bounds, axis=0, return_inverse=True)
+    for g, key in enumerate(keys):
+        members = np.nonzero(group.ravel() == g)[0]
+        cs = _coefficient_box(tuple(int(k) for k in key))
+        if len(cs) == 0:
+            continue
+        chunk = max(1, _CELL_BUDGET // (len(cs) * (m + n)))
+        for s0 in range(0, members.size, chunk):
+            idx = members[s0 : s0 + chunk]
+            out[live[idx]] = _box_hits(cs @ U[idx], x[idx], bound, height_cap).any(axis=1)
+    return out
 
 
 def _rho_witness_mask(xs, rho, height_cap):
@@ -424,24 +572,33 @@ def _rho_witness_mask(xs, rho, height_cap):
     return _tail_exists(xs, np.max(np.abs(xs[:, 0]), axis=1) <= rho, height_cap, hit)
 
 
-def _fast_psi_path_ok(psi):
-    """The per-tail candidate argument needs thr convex non-increasing."""
-    return psi.closed_form and psi.tau > 0 and (psi.family == "power" or psi.kappa >= 0)
+def _convex_non_increasing(thr):
+    """Whether the float table ``thr`` is non-increasing and discretely
+    convex.  Differences of floats keep their sign exactly; each second
+    difference must clear the rounding of the two differences it is made
+    of, so a table that is convex only within rounding counts as not."""
+    d = np.diff(thr)
+    if np.any(d > 0):
+        return False
+    return bool(np.all(np.diff(d) >= np.finfo(float).eps * (np.abs(d[:-1]) + np.abs(d[1:]))))
 
 
 def batch_has_witness(xs, psi: ApproximatingFunction, n_min, q_max, scale=1.0):
     """Mask of samples having a witness n_min <= |q| <= q_max for scale*psi.
 
-    ``xs`` is (S, m, n).  A convex non-increasing psi (power, or power-log
-    with kappa >= 0) goes to the per-tail psi rule at every shape; any other
-    psi to the direct cached-shell scan (budget-guarded).
+    ``xs`` is (S, m, n).  A psi whose threshold table on the heights
+    n_min .. q_max is non-increasing and convex goes to the per-tail psi rule
+    at every shape: power, power-log with kappa >= 0, and power-log with
+    kappa < 0 when :func:`_convex_non_increasing` accepts its table.  Any
+    other psi goes to the direct cached-shell scan (budget-guarded).
     """
     S, m, n = xs.shape
     if n_min < 1 or q_max < n_min:
         raise PreconditionError("need 1 <= n_min <= q_max")
-    if _fast_psi_path_ok(psi):
+    if psi.closed_form and psi.tau > 0:
         thr = np.concatenate(([np.inf], scale * psi(np.arange(1.0, q_max + 1))))
-        return _psi_witness_mask(xs, thr, n_min, q_max)
+        if psi.family == "power" or psi.kappa >= 0 or _convex_non_increasing(thr[n_min:]):
+            return _psi_witness_mask(xs, thr, n_min, q_max)
     est_cells = ((2 * q_max + 1) ** m // 2) * S * n
     if est_cells > _SCAN_BUDGET:
         raise BudgetExceededError(f"direct witness scan of ~{est_cells:.1e} cells is over budget")
@@ -508,20 +665,26 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
     """Fraction of X with a pigeonhole witness of height below 2^t / omega(t).
 
     The strict height cutoff means the admissible range can be empty, in
-    which case the estimate is exactly 0.
+    which case the estimate is exactly 0.  Witnesses are found by the lattice
+    box engine (LLL reduction, then Fincke-Pohst enumeration; see
+    :func:`_box_witness_mask`).  Raises :class:`BudgetExceededError` when 2^t
+    overflows a float, when the bound underflows, or when the engine's
+    rounding bound m eps H max|x| / b is no longer small.
     """
     if m <= n:
         raise PreconditionError("the excess-height experiment needs m > n")
     if t < 1:
         raise PreconditionError("t must be >= 1")
-    cutoff = 2.0 ** t / float(omega(t))
+    cutoff = _float_power_of_two(t) / float(omega(t))
     height_cap = math.ceil(cutoff) - 1
     bound = dirichlet_bound(m, n, t)
+    if not bound > 0:
+        raise BudgetExceededError(f"the pigeonhole bound at t={t} underflows a float")
     source = _seeded_source(samples, seed, _uniform_draw(m * n))
     start = time.perf_counter()
     hits, total = _run(
         source,
-        lambda b: int(_const_witness_mask(b.reshape(len(b), m, n), bound, height_cap).sum()),
+        lambda b: int(_box_witness_mask(b.reshape(len(b), m, n), bound, height_cap).sum()),
         threads,
     )
     return _report(

@@ -263,8 +263,19 @@ def _interval_bounds(p, lead, bound):
 
 
 def dirichlet_bound(m, n, t) -> float:
-    """The pigeonhole bound m * (2^t)^(1 - m/n) on the minimal form value."""
-    return m * (2.0 ** t) ** (1.0 - m / n)
+    """The pigeonhole bound m * (2^t)^(1 - m/n) on the minimal form value.
+
+    Raises :class:`BudgetExceededError` when 2^t overflows a float.
+    """
+    return m * _float_power_of_two(t) ** (1.0 - m / n)
+
+
+def _float_power_of_two(t) -> float:
+    """2.0 ** t, or :class:`BudgetExceededError` when it overflows a float."""
+    try:
+        return 2.0 ** t
+    except OverflowError:
+        raise BudgetExceededError(f"2^{t} overflows a float") from None
 
 
 def _k_range(lo, hi, cap):

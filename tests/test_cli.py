@@ -246,6 +246,14 @@ class TestDispatch:
         )
         assert code == 3
 
+    def test_height_overflow_exit_code(self):
+        # 2^t overflows a float: a budget error, not an OverflowError traceback
+        code, _ = run_capture(
+            ["measure", "e-t", "--m", "3", "--n", "1", "--t", "1100", "--samples", "100",
+             "--seed", "1"]
+        )
+        assert code == 3
+
     def test_main_handles_bad_argv(self):
         assert main(["no-such-command"]) == 2
 

@@ -19,7 +19,7 @@ from smallforms.functions import OmegaFunction
 from smallforms.measure import (
     CSV_COLUMNS,
     ExperimentReport,
-    _const_witness_mask,
+    _box_witness_mask,
     _direct_union_mask,
     _rho_witness_mask,
     batch_has_witness,
@@ -129,9 +129,42 @@ class TestEngineAgreement:
                 bound = dirichlet_bound(m, n, t) * float(rng.uniform(0.3, 1.4))
                 vecs, _ = band_vectors(m, 1, 2 ** t)
                 for xs in _agreement_inputs(rng, (60, m, n)):
-                    fast = _const_witness_mask(xs, bound, 2 ** t)
+                    fast = _box_witness_mask(xs, bound, 2 ** t)
                     slow = _direct_union_mask(xs, vecs, np.full(len(vecs), bound), False)
                     assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_psi_witness_mask_powerlog_negative_kappa(self, monkeypatch, m):
+        # kappa < 0 with a convex table takes the per-tail psi rule
+        rng = np.random.default_rng(76 + m)
+        psi = ApproximatingFunction.power_log(1.0, 2.0, -0.3)
+        rule = measure._psi_witness_mask
+        calls = []
+        monkeypatch.setattr(measure, "_psi_witness_mask",
+                            lambda *a: calls.append(1) or rule(*a))
+        q_max = 12 if m == 2 else 6
+        for n_min in (1, 3, q_max):
+            vecs, heights = band_vectors(m, n_min, q_max)
+            for xs in _agreement_inputs(rng, (80, m, 1)):
+                fast = batch_has_witness(xs, psi, n_min, q_max)
+                slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
+                assert np.array_equal(fast, slow)
+        assert len(calls) == 12
+
+    def test_nonconvex_powerlog_table_takes_direct_scan(self, monkeypatch):
+        psi = ApproximatingFunction.power_log(1.0, 1.0, -3.0)
+        table = psi(np.arange(1.0, 17.0))
+        assert np.all(np.diff(table) <= 0) and np.any(np.diff(table, 2) < 0)
+        assert not measure._convex_non_increasing(table)
+
+        def forbidden(*args):
+            raise AssertionError("a non-convex table reached the per-tail psi rule")
+
+        monkeypatch.setattr(measure, "_psi_witness_mask", forbidden)
+        xs = np.random.default_rng(78).random((50, 2, 1)) - 0.5
+        vecs, heights = band_vectors(2, 2, 16)
+        assert np.array_equal(batch_has_witness(xs, psi, 2, 16),
+                              _direct_union_mask(xs, vecs, psi(heights.astype(float)), False))
 
     def test_rho_witness_masks(self):
         rng = np.random.default_rng(74)
@@ -156,6 +189,96 @@ class TestEngineAgreement:
         vecs, heights = band_vectors(2, 1, 6)
         slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
         assert np.array_equal(mask, slow)
+
+
+class TestBoxEngine:
+    """The lattice box engine behind :func:`estimate_E_t`."""
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (3, 2), (4, 1)])
+    def test_pigeonhole_totality(self, m, n):
+        rng = np.random.default_rng(80 + 10 * m + n)
+        for t in range(1, 13):
+            for xs in _agreement_inputs(rng, (40, m, n)):
+                assert _box_witness_mask(xs, dirichlet_bound(m, n, t), 2 ** t).all(), t
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("m, n", [(3, 1), (3, 2)])
+    def test_monotone_in_cap_and_bound(self, m, n):
+        rng = np.random.default_rng(90 + n)
+        xs = rng.random((300, m, n)) - 0.5
+        base = dirichlet_bound(m, n, 6)
+        masks = {(cap, f): _box_witness_mask(xs, f * base, cap)
+                 for cap in (1, 5, 20, 64, 200) for f in (0.01, 0.1, 0.5, 2.0)}
+        for (cap, f), mask in masks.items():
+            for (cap2, f2), mask2 in masks.items():
+                if cap <= cap2 and f <= f2:
+                    assert not np.any(mask & ~mask2)
+        counts = [masks[(cap, 0.1)].sum() for cap in (1, 5, 20, 64, 200)]
+        assert counts == sorted(counts) and counts[0] < counts[-1]
+
+    def test_direct_agreement_at_height_2_7(self):
+        # the direct scan over slabs q_1 = k >= 0 of the box (one of each +-q),
+        # by the oracle's matrix product; a sample hits iff its least value
+        # is below the bound
+        rng = np.random.default_rng(94)
+        cap = 2 ** 7
+        xs = np.concatenate(_agreement_inputs(rng, (16, 3, 1)))
+        side = np.arange(-cap, cap + 1)
+        tails = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+        least = np.full(len(xs), np.inf)
+        for k in range(cap + 1):
+            rows = tails if k else tails[np.any(tails != 0, axis=1)]
+            vecs = np.column_stack([np.full(len(rows), k), rows])
+            least = np.minimum(least, np.abs(vecs.astype(float) @ xs[:, :, 0].T).min(axis=0))
+        for factor in (0.01, 0.02, 0.05):
+            bound = factor * dirichlet_bound(3, 1, 7)
+            slow = least < bound
+            assert 0 < slow.sum() < len(xs)
+            assert np.array_equal(_box_witness_mask(xs, bound, cap), slow)
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_enumeration_finds_what_the_rows_miss(self, monkeypatch):
+        # at small bounds some samples have a witness that no row of the
+        # reduced transform gives; only the coefficient enumeration finds it
+        rng = np.random.default_rng(95)
+        coefficient_box = measure._coefficient_box
+        missed = 0
+        for m, n, t, factor in ((3, 1, 4, 0.1), (4, 1, 2, 0.02), (4, 1, 3, 0.02), (3, 2, 4, 0.1)):
+            vecs, _ = band_vectors(m, 1, 2 ** t)
+            bound = factor * dirichlet_bound(m, n, t)
+            for xs in _agreement_inputs(rng, (200, m, n)):
+                slow = _direct_union_mask(xs, vecs, np.full(len(vecs), bound), False)
+                assert np.array_equal(_box_witness_mask(xs, bound, 2 ** t), slow)
+                monkeypatch.setattr(measure, "_coefficient_box",
+                                    lambda bounds: np.zeros((0, len(bounds)), dtype=np.int64))
+                missed += int(np.sum(slow & ~_box_witness_mask(xs, bound, 2 ** t)))
+                monkeypatch.setattr(measure, "_coefficient_box", coefficient_box)
+        assert missed >= 10
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_zero_matrix_and_zero_row(self):
+        zero = np.zeros((3, 3, 2))
+        assert _box_witness_mask(zero, 1e-9, 1).all()
+        xs = np.array([[[0.3], [0.0]], [[0.3], [0.2]]])   # x_2 = 0: q = e_2
+        assert _box_witness_mask(xs, 1e-9, 1).tolist() == [True, False]
+        assert not _box_witness_mask(zero, 0.5, 0).any()   # no height at all
+
+    def test_exact_tie_is_not_a_witness(self):
+        # dyadic X: every |q.x| is exact, and the strict bound excludes the minimum
+        xs = np.array([[[330 / 1024], [459 / 1024], [-257 / 1024]]])
+        vecs, _ = band_vectors(3, 1, 3)
+        values = np.abs(vecs.astype(float) @ xs[0, :, 0])
+        best = float(values.min())
+        assert best == 1 / 1024 and vecs[values == best].tolist() == [[2, -2, -1]]
+        assert _box_witness_mask(xs, best, 3).tolist() == [False]
+        assert _box_witness_mask(xs, np.nextafter(best, 1.0), 3).tolist() == [True]
+
+    @pytest.mark.parametrize("m, n, t", [(2, 1, 30), (3, 1, 18)])
+    def test_rounding_guard(self, m, n, t):
+        # (2, 1) trips the a priori bound, (3, 1) the bound of the reduced bases
+        with pytest.raises(BudgetExceededError):
+            estimate_E_t(m, n, OmegaFunction.power(1.0), t, samples=200, seed=0)
 
 
 class TestDeltaT:
@@ -226,6 +349,7 @@ class TestExcessHeight:
         with pytest.raises(PreconditionError):
             estimate_E_t(2, 2, OmegaFunction.power(1.0), t=3, samples=100, seed=0)
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_grid_agreement_small(self):
         # deterministic midpoint grid vs Monte Carlo on a 2-dim configuration
         omega = OmegaFunction.power(1.0)
@@ -238,7 +362,7 @@ class TestExcessHeight:
 
         hits, total = _run(
             _grid_source(2, 1024),
-            lambda b: int(_const_witness_mask(b.reshape(len(b), 2, 1), bound, cap).sum()),
+            lambda b: int(_box_witness_mask(b.reshape(len(b), 2, 1), bound, cap).sum()),
         )
         grid_est = hits / total
         comb = math.hypot(mc.stderr, math.sqrt(grid_est * (1 - grid_est) / total))
