@@ -265,13 +265,6 @@ def _gamma_window(level):
     return window
 
 
-def _gamma_mask_2x2(level, start=0, stop=None):
-    """Dense :func:`_gamma_window` over the first-axis cells [start, stop)
-    (all of them by default)."""
-    w = 1 << level
-    return _gamma_window(level)(*np.ogrid[start:w if stop is None else stop, :w, :w, :w])
-
-
 def _product_union_count(masks, level, gamma_window):
     """Cells (i1, i2, i3, i4) with masks[s, i1, i2] & masks[s, i3, i4] for
     some slab s, restricted to :func:`_gamma_window` when ``gamma_window``.

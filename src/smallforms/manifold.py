@@ -277,7 +277,7 @@ def gamma_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
                             batch=1024)
     return _tail_reports(
         "gamma-dichotomy", m, n, psi, schedule, q_max, source,
-        lambda xs, N: batch_has_witness(xs, psi, N, q_max, scale=c),
+        lambda xs, lo, hi: batch_has_witness(xs, psi, lo, hi, scale=c),
         seed, threads,
         {"c": c, "measure": GAMMA_MEASURE_LABEL},
         {"schedule": tuple(schedule), "measure": GAMMA_MEASURE_LABEL},

@@ -10,28 +10,24 @@ test its own batch, so at most ``threads`` batches are alive at once, and sums
 the counts in batch order, so reports are bit-identical for a fixed master
 seed at any thread count.  Counts below 1 raise :class:`PreconditionError`.
 
-Membership in a union of neighborhoods is decided, for every shape (m, n),
-by one tail loop, ``_tail_exists``: it walks the tails (q_2 .. q_m) of
-:mod:`smallforms.search` in ascending dyadic height blocks, tests only the
-samples with no witness yet, in chunks of a fixed cell budget, and asks a
-per-question rule which tails give a sample a witness.  The two rules (psi
-threshold, rho-neighborhood) each test the few leading coordinates q_1 that
-their own convexity argument allows.
-
-The excess-height sets ask a question with a constant bound: is there a
-nonzero q with |q|_inf <= H and |qX|_inf < b?  That is a lattice point of
-{(q/H, qX/b)} in the unit cube, and ``_box_witness_mask`` answers it for a
-whole stack of samples by LLL reduction (Lenstra, Lenstra & Lovász 1982) and
-enumeration of the coefficients within the dual-norm bounds of Fincke &
-Pohst (1985), so its cost does not grow with H.  Its radius is widened by a
-computed bound on the rounding of the reduced bases, of order
-m eps H max|x| / b; where that bound exceeds ``_ROUNDING_LIMIT`` it raises
-:class:`BudgetExceededError` instead of answering, which at the pigeonhole
-bound with omega(t) = t is from t = 27 at (2, 1), t = 18 at (3, 1) and t = 13
-at (4, 1).  The cached-shell scan (every canonical q of the height range
-against every sample) is the oracle all three are cross-validated against in
-the test suite, and the path of delta-t and of a psi whose threshold table is
-not convex.
+Membership in a union of neighborhoods is decided by one lattice box
+engine, ``_box_witness_mask``.  A question is a list of height blocks
+(lo, hi, b) and an exact filter: is there a nonzero q with |q|_inf <= hi and
+|qX|_inf < b that the filter accepts?  That is a lattice point of
+{(q/hi, qX/b)} in the unit cube, found for a whole stack of samples by LLL
+reduction (Lenstra, Lenstra & Lovász 1982) and enumeration within the
+dual-norm bounds of Fincke & Pohst (1985), so its cost does not grow with
+the height.  The blocks are walked in ascending order and a sample leaves
+once it hits.  psi (the tail dichotomies): dyadic blocks, b the largest
+threshold on the block, filter |qX|_inf < scale psi(|q|) with N <= |q|.
+rho (ubiquity): dyadic blocks, b = rho sqrt(m) hi rounded up, filter
+|qX|_inf <= rho |q|_2.  Excess height: one block, b the pigeonhole bound.
+Where a computed bound on the rounding of the reduced bases (of order
+m eps hi max|x| / b) exceeds ``_ROUNDING_LIMIT`` the engine raises
+:class:`BudgetExceededError` instead of answering: with omega(t) = t, from
+t = 27 at (2, 1), t = 18 at (3, 1) and t = 13 at (4, 1).  The cached-shell
+scan is the oracle the engine is cross-validated against in the test suite,
+and the path of delta-t.
 """
 
 from __future__ import annotations
@@ -41,15 +37,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import DISTANCE_CONVENTION
 from .functions import ApproximatingFunction
-from .search import (_BOX_CELL_CAP, _canonical_rows, _dyadic_tail_blocks, _float_power_of_two,
-                     _tails, band_vectors, dirichlet_bound)
+from .search import _BOX_CELL_CAP, _canonical_rows, _float_power_of_two, band_vectors, dirichlet_bound
 
 __all__ = [
     "ExperimentReport",
@@ -70,6 +64,7 @@ _SCAN_BUDGET = 60_000_000_000   # q-cells * samples guard for the direct scan
 _LLL_DELTA = 0.99               # Lovász constant of the box engine's reduction
 _LLL_PASSES = 10_000            # pass cap of the reduction, against cycling under rounding
 _ROUNDING_LIMIT = 0.25          # largest rounding bound the box engine answers under
+_DIRECT_BOX = 200               # canonical points of a height box tested without reduction
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +255,19 @@ def _cutoff_schedule(n_schedule, q_max):
     return schedule
 
 
-def _nested_hits(xs, schedule, has_witness):
-    """Hit counts per ascending cutoff N, largest N first so only its misses
-    are retested; ``has_witness(xs, N)`` masks the samples with a witness."""
+def _nested_hits(xs, schedule, q_max, has_witness):
+    """Hit counts per ascending cutoff N, largest N first so that only its
+    misses are retested, on the heights below it; ``has_witness(xs, lo, hi)``
+    masks the samples with a witness of height in [lo, hi]."""
     counts = np.zeros(len(schedule), dtype=np.int64)
     found = np.zeros(len(xs), dtype=bool)
+    hi = q_max
     for i in range(len(schedule) - 1, -1, -1):
         todo = np.nonzero(~found)[0]
         if todo.size:
-            found[todo] |= has_witness(xs[todo], schedule[i])
+            found[todo] |= has_witness(xs[todo], schedule[i], hi)
         counts[i] = found.sum()
+        hi = schedule[i] - 1
     return counts
 
 
@@ -297,102 +295,6 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
     return out
 
 
-def _tail_exists(xs, out, cap, hit):
-    """OR into ``out`` the samples of ``xs`` (S, m, n) that a q = (q_1, tail)
-    with a tail of height <= cap witnesses, and return ``out``.
-
-    Tails are walked in ascending dyadic height blocks; each block tests only
-    the samples with no witness yet, in chunks of about ``_CELL_BUDGET``
-    cells.  Per chunk one matrix product forms p = tails . x[1:], shape
-    (K, s, n), and ``hit(lead, p, tails, th)`` returns the (K, s) mask of
-    tails giving a witness; ``lead`` is x[0] and ``th`` the tail heights.
-    """
-    _, m, n = xs.shape
-    tails, th_all = _tails(m, cap)
-    for _, block in _dyadic_tail_blocks(th_all, cap):
-        alive = np.nonzero(~out)[0]
-        if alive.size == 0:
-            break
-        t_block, th = tails[block], th_all[block]
-        tf = t_block.astype(float)
-        chunk = max(1, _CELL_BUDGET // (len(t_block) * n))
-        for s0 in range(0, alive.size, chunk):
-            idx = alive[s0 : s0 + chunk]
-            x = xs[idx]
-            p = tf @ x[:, 1:].transpose(1, 0, 2).reshape(m - 1, -1)
-            out[idx] |= hit(x[:, 0], p.reshape(len(tf), len(idx), n), t_block, th).any(axis=0)
-    return out
-
-
-def _breakpoint_floors(lead, p, cap):
-    """Floors of the breakpoints of the convex piecewise-linear
-    q_1 -> max_j |q_1 lead_j + p_j|, one (K, s) array at a time: each
-    column's zero (for one column, the foot of the V) and the two crossings
-    of each column pair, clipped to +-(cap + 2), where a zero denominator's
-    NaN or infinity lands.  Every kink of the maximum is among them."""
-    pad = cap + 2.0
-    cols = range(p.shape[-1])
-    zeros = ((p[..., j], lead[:, j]) for j in cols)
-    crossings = ((p[..., i] + s * p[..., j], lead[:, i] + s * lead[:, j])
-                 for i, j in combinations(cols, 2) for s in (-1.0, 1.0))
-    for num, den in chain(zeros, crossings):  # the zero of num + q_1 den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.divide(num, den)
-        np.negative(v, out=v)
-        np.nan_to_num(v, copy=False, nan=pad, posinf=pad, neginf=-pad)
-        yield np.floor(np.clip(v, -pad, pad, out=v), out=v)
-
-
-def _max_form(c, lead, p, out=None):
-    """max_j |c lead_j + p_j| into ``out``, or a new array for c of shape (K, s)."""
-    v = np.multiply(c, lead[:, 0], out=out)
-    np.abs(np.add(v, p[..., 0], out=v), out=v)
-    for j in range(1, p.shape[-1]):
-        np.maximum(v, np.abs(c * lead[:, j] + p[..., j]), out=v)
-    return v
-
-
-def _psi_witness_mask(xs, thr_by_height, n_min, q_max):
-    """Any q with n_min <= |q| <= q_max and |qX|_inf < thr(|q|), thr
-    non-increasing and convex on integer heights; ``xs`` is (S, m, n).
-
-    Per tail, thr(max(|q_1|, tail_height)) is constant on |q_1| <= tail
-    height and convex monotone on either side, and |qX|_inf is linear
-    between breakpoints (:func:`_breakpoint_floors`), so on each piece the
-    strict inequality holds somewhere only if it holds at an end: a
-    breakpoint floor or floor + 1 clamped to the box, the plateau or the
-    split range |q_1| >= L, or the inner ends +-L.  q = q_1 e_1 seeds the
-    mask: |q_1| |x_1|_inf increases and thr does not, so q_1 = max(n_min, 1)
-    decides it (and all of m = 1).
-    """
-    n_eff = max(n_min, 1)
-    thr = np.asarray(thr_by_height, dtype=float)
-    cap = float(q_max)
-
-    def hit(lead, p, tails, th):
-        L = np.where(th >= n_min, 0, n_min)[:, None].astype(float)  # inner end of a split range
-        plateau = np.minimum(th, q_max)[:, None]
-        gates = ((-cap, cap), (-plateau, plateau), (L, cap), (-cap, -L))
-
-        def passes(c):  # its temporaries die on return, before the next candidate
-            absc = np.abs(c)
-            heights = np.maximum(absc.astype(np.int64), th[:, None])
-            ok = (absc <= q_max) & ((L == 0) | (absc >= L)) & (heights >= n_eff)
-            return ok & (_max_form(c, lead, p) < thr[np.minimum(heights, len(thr) - 1)])
-
-        found = np.zeros(p.shape[:2], dtype=bool)
-        for end in (L, -L) if np.any(L > 0) else ():
-            found |= passes(np.broadcast_to(end, found.shape))
-        for base in _breakpoint_floors(lead, p, q_max):
-            for _ in range(2):  # the floor, then floor + 1
-                for lo, hi in gates:
-                    found |= passes(np.clip(base, lo, hi))
-                base += 1.0
-        return found
-
-    return _tail_exists(xs, n_eff * np.max(np.abs(xs[:, 0]), axis=1) < thr[n_eff], q_max, hit)
-
-
 def _gram_schmidt(b):
     """Gram-Schmidt coefficients mu (unit diagonal) and squared norms |b_i*|^2
     of the rows of every basis in the stack ``b`` (S, m, d)."""
@@ -409,9 +311,10 @@ def _gram_schmidt(b):
     return mu, norms
 
 
-def _lll_transform(basis):
+def _lll_transform(basis, U):
     """Unimodular int64 U (S, m, m) such that the rows of U @ basis are
-    LLL-reduced (Lovász constant ``_LLL_DELTA``), for a stack (S, m, d).
+    LLL-reduced (Lovász constant ``_LLL_DELTA``), for a stack (S, m, d),
+    starting from the unimodular stack ``U`` (a warm start).
 
     Every pass rebuilds the bases from U, size-reduces them and swaps each
     basis's first pair that fails the Lovász condition; a basis leaves once
@@ -420,7 +323,7 @@ def _lll_transform(basis):
     weaker, and ``_LLL_PASSES`` bounds the passes should it ever cycle.
     """
     S, m, _ = basis.shape
-    U = np.tile(np.eye(m, dtype=np.int64), (S, 1, 1))
+    U = U.copy()
     live = np.arange(S if m > 1 else 0)
     for _ in range(_LLL_PASSES):
         if live.size == 0:
@@ -456,25 +359,32 @@ def _coefficient_box(bounds):
     return box
 
 
-def _box_hits(q, xs, bound, height_cap):
-    """(s, K) mask of the candidates q (s, K, m) of each sample of ``xs``
-    (s, m, n) with |q|_inf <= cap and max_j |q.x_j| < bound: the oracle's
-    own filter, the matrix product q X of :func:`_direct_union_mask`."""
+def _box_hits(q, xs, height_cap, bound, keep):
+    """(s, K) mask of the candidates q of each sample of ``xs`` (s, m, n)
+    with |q|_inf <= cap and max_j |q.x_j| < bound that ``keep`` accepts; q
+    is (s, K, m), or (K, m) for every sample.  Values come from the oracle's
+    own expression, the matrix product q X of :func:`_direct_union_mask`."""
     values = np.abs(q.astype(float) @ xs).max(axis=2)
-    return (np.abs(q).max(axis=2) <= height_cap) & (values < bound)
+    heights = np.abs(q).max(axis=-1)
+    hit = (heights <= height_cap) & (values < bound)
+    return hit if keep is None else hit & keep(q, values, heights)
 
 
-def _box_witness_mask(xs, bound, height_cap):
-    """Any nonzero q with |q|_inf <= cap and max_j |q.x_j| < bound, for the
-    samples ``xs`` (S, m, n).
+def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
+    """Any nonzero q with |q|_inf <= cap and max_j |q.x_j| < bound that
+    ``keep`` accepts, for the samples ``xs`` (S, m, n).  The reductions
+    start from the transforms ``start`` (S, m, m) and are written back.
 
     q lies in the box iff the lattice point qB, B with rows (e_i / cap,
     x_i / bound), lies in the unit cube of R^(m+n), hence in the ball of
     radius r = sqrt(m + n) (1 + prior): a rounded |q.x_j| below the bound
     may exceed it exactly by up to prior = (m + 2) eps cap max|x| / bound.
-    q = e_1 seeds the mask.  Every other basis is LLL-reduced (Lenstra,
-    Lenstra & Lovász 1982), B' = U B with U exact; the +-rows of U are tested
-    first, and for the samples they leave the lattice points of the ball are
+    A box of at most ``_DIRECT_BOX`` canonical points is tested point by
+    point, with no reduction.  Otherwise q = lead e_1 seeds the mask, and
+    every other basis is LLL-reduced (Lenstra, Lenstra & Lovász 1982),
+    B' = U B with U exact.  The least multiples of height >= lead of the rows
+    of U are tested first (in a saturated block they settle most samples),
+    and for the samples they leave the lattice points of the ball are
     c B' with |c_i| <= r |d_i|, d_i the dual basis rows (the bound of
     Fincke & Pohst 1985), enumerated per group of equal bound tuples in
     chunks of about ``_CELL_BUDGET`` cells.  Candidates q = c U pass through
@@ -495,23 +405,28 @@ def _box_witness_mask(xs, bound, height_cap):
     out = np.zeros(S, dtype=bool)
     if height_cap < 1 or not bound > 0:
         return out
+    if (2 * height_cap + 1) ** m <= 2 * _DIRECT_BOX:   # a small box: test all its points
+        _scan_box(out, np.arange(S), xs, None, (height_cap,) * m, height_cap, bound, keep)
+        return out
     eps = np.finfo(float).eps
     prior = (m + 2) * eps * height_cap * float(np.max(np.abs(xs), initial=0.0)) / bound
     if prior > _ROUNDING_LIMIT:
         raise BudgetExceededError(
             f"rounding error of the lattice basis at height {height_cap} and bound {bound:.3g} "
             "is not small; this box question is out of reach in double precision")
-    out |= np.max(np.abs(xs[:, 0]), axis=1) < bound
+    out |= _box_hits(lead * np.eye(1, m, dtype=np.int64), xs, height_cap, bound, keep)[:, 0]
     live = np.nonzero(~out)[0]
     if live.size == 0:
         return out
     x = xs[live]
     basis = np.concatenate(
         [np.broadcast_to(np.eye(m) / height_cap, (len(live), m, m)), x / bound], axis=2)
-    U = _lll_transform(basis)
-    out[live] = _box_hits(U, x, bound, height_cap).any(axis=1)
-    keep = ~out[live]
-    live, x, basis, U = live[keep], x[keep], basis[keep], U[keep]
+    U = _lll_transform(basis, start[live])
+    start[live] = U
+    short = U * -(-lead // np.abs(U).max(axis=2, keepdims=True))   # least multiples of height >= lead
+    out[live] = _box_hits(short, x, height_cap, bound, keep).any(axis=1)
+    keep_live = ~out[live]
+    live, x, basis, U = live[keep_live], x[keep_live], basis[keep_live], U[keep_live]
     if live.size == 0:
         return out
 
@@ -531,80 +446,89 @@ def _box_witness_mask(xs, bound, height_cap):
     keys, group = np.unique(bounds, axis=0, return_inverse=True)
     for g, key in enumerate(keys):
         members = np.nonzero(group.ravel() == g)[0]
-        cs = _coefficient_box(tuple(int(k) for k in key))
-        if len(cs) == 0:
-            continue
-        chunk = max(1, _CELL_BUDGET // (len(cs) * (m + n)))
-        for s0 in range(0, members.size, chunk):
-            idx = members[s0 : s0 + chunk]
-            out[live[idx]] = _box_hits(cs @ U[idx], x[idx], bound, height_cap).any(axis=1)
+        _scan_box(out, live[members], x[members], U[members], tuple(int(k) for k in key),
+                  height_cap, bound, keep)
     return out
 
 
-def _rho_witness_mask(xs, rho, height_cap):
-    """Any nonzero q, |q| <= cap, with |qX|_inf <= rho |q|_2; ``xs`` is (S, m, n).
-
-    Candidates: the breakpoint floors and floors + 1 of q_1 -> |qX|_inf
-    (:func:`_breakpoint_floors`), q_1 = 0 and the box ends; on each linear
-    piece |qX|_inf - rho |q|_2 is concave, so its ends suffice.  q = q_1 e_1
-    seeds the mask: |x_1|_inf <= rho at any height.
-    """
-    cap = float(height_cap)
-
-    def hit(lead, p, tails, th):
-        norm_sq = (tails.astype(float) ** 2).sum(axis=1)[:, None]
-        lhs, rhs = np.empty(p.shape[:2]), np.empty(p.shape[:2])
-        found = np.zeros(p.shape[:2], dtype=bool)
-
-        def test(c):
-            _max_form(c, lead, p, out=lhs)
-            np.sqrt(np.add(np.multiply(c, c, out=rhs), norm_sq, out=rhs), out=rhs)
-            found[...] |= lhs <= np.multiply(rho, rhs, out=rhs)
-
-        for c in (0.0, -cap, cap):
-            test(c)
-        for base in _breakpoint_floors(lead, p, height_cap):
-            test(np.clip(base, -cap, cap))
-            base += 1.0
-            test(np.clip(base, -cap, cap, out=base))
-        return found
-
-    return _tail_exists(xs, np.max(np.abs(xs[:, 0]), axis=1) <= rho, height_cap, hit)
+def _scan_box(out, live, xs, U, key, height_cap, bound, keep):
+    """OR into ``out[live]`` the hits among the candidates q = c U, |c_i| <=
+    key[i] (one of each +-c), of the samples ``xs``; U = None is the
+    identity.  Chunks of about ``_CELL_BUDGET`` cells."""
+    cs = _coefficient_box(key)
+    if len(cs) == 0:
+        return
+    chunk = max(1, _CELL_BUDGET // (len(cs) * sum(xs.shape[1:])))
+    for s0 in range(0, len(live), chunk):
+        idx = slice(s0, s0 + chunk)
+        q = cs if U is None else cs @ U[idx]
+        out[live[idx]] = _box_hits(q, xs[idx], height_cap, bound, keep).any(axis=1)
 
 
-def _convex_non_increasing(thr):
-    """Whether the float table ``thr`` is non-increasing and discretely
-    convex.  Differences of floats keep their sign exactly; each second
-    difference must clear the rounding of the two differences it is made
-    of, so a table that is convex only within rounding counts as not."""
-    d = np.diff(thr)
-    if np.any(d > 0):
-        return False
-    return bool(np.all(np.diff(d) >= np.finfo(float).eps * (np.abs(d[:-1]) + np.abs(d[1:]))))
+def _box_witness_mask(xs, blocks, keep=None):
+    """Mask of the samples ``xs`` (S, m, n) with a witness in some block
+    (lo, hi, b): a nonzero q, |q|_inf <= hi and max_j |q.x_j| < b, that
+    ``keep(q, values, heights)`` accepts (any, if ``keep`` is None).  Blocks
+    are walked in order and a sample leaves once it hits; each block's
+    reduction starts from the sample's last one.  ``keep`` sees
+    candidates of any height; each b must exceed the value of every q of
+    height in [lo, hi] that ``keep`` accepts."""
+    S, m, _ = xs.shape
+    out = np.zeros(S, dtype=bool)
+    U = np.tile(np.eye(m, dtype=np.int64), (S, 1, 1))
+    for lo, hi, bound in blocks:
+        live = np.nonzero(~out)[0]
+        if live.size == 0:
+            break
+        U_live = U[live]
+        out[live] = _block_witness_mask(xs[live], U_live, lo, hi, bound, keep)
+        U[live] = U_live
+    return out
+
+
+def _height_blocks(lo, hi):
+    """Dyadic height blocks [a, 2a - 1] from a = lo while the next one fits
+    whole, then one last block up to hi (less than 4a)."""
+    blocks = []
+    while 4 * lo - 1 <= hi:
+        blocks.append((lo, 2 * lo - 1))
+        lo *= 2
+    return blocks + [(lo, hi)]
+
+
+def _rho_question(m, rho, height_cap):
+    """Blocks and filter for :func:`_box_witness_mask` of a nonzero q,
+    |q|_inf <= cap, with max_j |q.x_j| <= rho |q|_2.  Each b is the next
+    float above rho sqrt(m) hi, computed as the filter computes rho |q|_2
+    (exact integer sums of squares, monotone rounding), so the box's strict
+    bound holds the inclusive one."""
+    blocks = [(lo, hi, float(np.nextafter(rho * math.sqrt(m * hi * hi), np.inf)))
+              for lo, hi in _height_blocks(1, height_cap)]
+
+    def keep(q, values, heights):
+        return values <= rho * np.sqrt((q.astype(float) ** 2).sum(axis=-1))
+
+    return blocks, keep
 
 
 def batch_has_witness(xs, psi: ApproximatingFunction, n_min, q_max, scale=1.0):
     """Mask of samples having a witness n_min <= |q| <= q_max for scale*psi.
 
-    ``xs`` is (S, m, n).  A psi whose threshold table on the heights
-    n_min .. q_max is non-increasing and convex goes to the per-tail psi rule
-    at every shape: power, power-log with kappa >= 0, and power-log with
-    kappa < 0 when :func:`_convex_non_increasing` accepts its table.  Any
-    other psi goes to the direct cached-shell scan (budget-guarded).
+    ``xs`` is (S, m, n).  Every psi goes to the lattice box engine
+    (:func:`_box_witness_mask`) in dyadic height blocks, each bounded by the
+    largest threshold on it, with the exact filter max_j |q.x_j| <
+    scale psi(|q|), n_min <= |q|: neither convexity nor monotonicity of psi
+    is needed.  The direct shell scan is only the tests' oracle (and the
+    path of delta-t).  Raises :class:`BudgetExceededError` where the
+    engine's rounding bound is not small.
     """
-    S, m, n = xs.shape
     if n_min < 1 or q_max < n_min:
         raise PreconditionError("need 1 <= n_min <= q_max")
-    if psi.closed_form and psi.tau > 0:
-        thr = np.concatenate(([np.inf], scale * psi(np.arange(1.0, q_max + 1))))
-        if psi.family == "power" or psi.kappa >= 0 or _convex_non_increasing(thr[n_min:]):
-            return _psi_witness_mask(xs, thr, n_min, q_max)
-    est_cells = ((2 * q_max + 1) ** m // 2) * S * n
-    if est_cells > _SCAN_BUDGET:
-        raise BudgetExceededError(f"direct witness scan of ~{est_cells:.1e} cells is over budget")
-    vecs, heights = band_vectors(m, n_min, q_max)
-    thr = scale * psi(heights.astype(float))
-    return _direct_union_mask(xs, vecs, thr, inclusive=False)
+    thr = np.concatenate(([np.inf], scale * psi(np.arange(1.0, q_max + 1))))
+    blocks = [(lo, hi, float(thr[lo : hi + 1].max())) for lo, hi in _height_blocks(n_min, q_max)]
+    return _box_witness_mask(
+        xs, blocks,
+        lambda q, values, heights: (heights >= n_min) & (values < thr[np.minimum(heights, q_max)]))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +608,7 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
     start = time.perf_counter()
     hits, total = _run(
         source,
-        lambda b: int(_box_witness_mask(b.reshape(len(b), m, n), bound, height_cap).sum()),
+        lambda b: int(_box_witness_mask(b.reshape(len(b), m, n), [(1, height_cap, bound)]).sum()),
         threads,
     )
     return _report(
@@ -712,10 +636,11 @@ def _ubiquity(experiment, m, n, config, t, source, seed, threads, center, radius
     config.validate_omega(np.arange(1.0, 33.0))
     height_cap = math.floor(config.k ** t)
     rho = float(config.rho(t))
+    question = _rho_question(m, rho, height_cap)
 
     def tester(batch):
         pts = center[None, :] + (2 * radius) * batch   # batch is uniform on [-1/2,1/2)
-        return int(_rho_witness_mask(pts.reshape(len(pts), m, n), rho, height_cap).sum())
+        return int(_box_witness_mask(pts.reshape(len(pts), m, n), *question).sum())
 
     start = time.perf_counter()
     hits, total = _run(source, tester, threads)
@@ -753,11 +678,11 @@ def ubiquity_quadrature(m, n, config, t, resolution=256,
 def _tail_reports(experiment, m, n, psi, schedule, q_max, source, has_witness, seed, threads,
                   params, extras):
     """Shared body of the tail dichotomies: one report per cutoff N in ``schedule``,
-    counting the points of ``source`` with ``has_witness(xs, N)``."""
+    counting the points of ``source`` with a witness of height in [N, Q]."""
     start = time.perf_counter()
     counts, total = _run(
         source,
-        lambda b: _nested_hits(b.reshape(len(b), m, n), schedule, has_witness),
+        lambda b: _nested_hits(b.reshape(len(b), m, n), schedule, q_max, has_witness),
         threads,
     )
     return [
@@ -773,13 +698,13 @@ def tail_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
 
     Returns one report per N in the schedule.  Witness sets are nested in N,
     so each batch is tested at the largest cutoff first and only the misses
-    are retested at smaller cutoffs.
+    are retested at smaller cutoffs, on the heights below the larger one.
     """
     schedule = _cutoff_schedule(n_schedule, q_max)
     return _tail_reports(
         "tail-dichotomy", m, n, psi, schedule, q_max,
         _seeded_source(samples, seed, _uniform_draw(m * n)),
-        lambda xs, N: batch_has_witness(xs, psi, N, q_max),
+        lambda xs, lo, hi: batch_has_witness(xs, psi, lo, hi),
         seed, threads, {}, {"schedule": tuple(schedule)},
     )
 
@@ -802,6 +727,6 @@ def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16, kind="kronecker",
         raise PreconditionError(f"unknown quadrature kind {kind!r}")
     return _tail_reports(
         "tail-quadrature", m, n, psi, [n_min], q_max, source,
-        lambda xs, N: batch_has_witness(xs, psi, N, q_max),
+        lambda xs, lo, hi: batch_has_witness(xs, psi, lo, hi),
         None, 1, {"kind": kind}, {"method": kind},
     )[0]

@@ -16,7 +16,7 @@ from smallforms import (
     truncated_box_count,
 )
 from smallforms import boxdim
-from smallforms.boxdim import _gamma_mask_2x2, coupled_schedule
+from smallforms.boxdim import _gamma_window, coupled_schedule
 from smallforms.search import band_vectors
 
 
@@ -79,6 +79,13 @@ def dense_gamma_mask(level):
     x12_x21_lo = p_lo.T[None, :, :, None]                   # axes (i3, i2)
     x12_x21_hi = p_hi.T[None, :, :, None]
     return (x11_x22_lo - x12_x21_hi <= 0.0) & (x11_x22_hi - x12_x21_lo >= 0.0)
+
+
+def gamma_mask_2x2(level, start=0, stop=None):
+    """Dense :func:`smallforms.boxdim._gamma_window` over the first-axis
+    cells [start, stop) (all of them by default)."""
+    w = 1 << level
+    return _gamma_window(level)(*np.ogrid[start:w if stop is None else stop, :w, :w, :w])
 
 
 def band_slabs(psi, m, h_min, q_max):
@@ -223,8 +230,8 @@ class TestUnionEngine:
     def test_gamma_mask_blocks_match_dense(self):
         level = 4
         dense = dense_gamma_mask(level)
-        assert np.array_equal(_gamma_mask_2x2(level), dense)
-        assert np.array_equal(_gamma_mask_2x2(level, 3, 7), dense[3:7])
+        assert np.array_equal(gamma_mask_2x2(level), dense)
+        assert np.array_equal(gamma_mask_2x2(level, 3, 7), dense[3:7])
 
     def test_counts_match_benchmark_references(self):
         # the exact counts that the benchmark's boxdim part checks; the
@@ -291,7 +298,7 @@ class TestTruncatedCount:
         assert 0 < windowed <= full
 
     def test_gamma_mask_contains_rank_deficient_cells(self):
-        mask = _gamma_mask_2x2(3)
+        mask = gamma_mask_2x2(3)
         # the all-zero matrix cell (center block) is rank deficient
         c = (1 << 3) // 2
         assert mask[c, c, c, c]

@@ -254,6 +254,15 @@ class TestDispatch:
         )
         assert code == 3
 
+    def test_dichotomy_rounding_bound_exit_code(self, capsys):
+        # psi = h^-6 on the heights 128..256: the box engine's rounding bound
+        # (m + 2) eps H max|x| / b is far above 1/4, so the run exits 3
+        argv = ["measure", "dichotomy", "--m", "2", "--n", "1", "--psi", "pow:1,6",
+                "--N-schedule", "128", "--Q", "256", "--samples", "100", "--seed", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "double precision" in err and "Traceback" not in err
+
     def test_main_handles_bad_argv(self):
         assert main(["no-such-command"]) == 2
 

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from smallforms import (
 )
 from smallforms import measure
 from smallforms.functions import OmegaFunction
+from smallforms.manifold import _sample_eta_batch, absorption_constant
 from smallforms.measure import (
     CSV_COLUMNS,
     ExperimentReport,
     _box_witness_mask,
     _direct_union_mask,
-    _rho_witness_mask,
+    _rho_question,
     batch_has_witness,
     delta_t_quadrature,
     reports_to_csv_rows,
@@ -61,10 +63,15 @@ class TestReport:
             assert int(row[5]) == rep.hits
 
 
+def box_mask(xs, bound, cap):
+    """The constant box question: one height block, no extra filter."""
+    return _box_witness_mask(xs, [(1, cap, bound)])
+
+
 def _agreement_inputs(rng, shape):
-    """Uniform samples of ``shape`` plus the inputs the per-tail rules treat
-    specially: zero and tiny leading entries (a far V-bottom), dyadic entries
-    and, for n = 2, a zero first column of the leading row."""
+    """Uniform samples of ``shape`` plus degenerate ones: zero and tiny
+    leading entries, dyadic entries (exact values) and, for n = 2, a zero
+    first column of the leading row."""
     xs = rng.random(shape) - 0.5
     zero_lead, tiny_lead = xs.copy(), xs.copy()
     zero_lead[::2, 0] = 0.0
@@ -77,6 +84,39 @@ def _agreement_inputs(rng, shape):
     return inputs
 
 
+def recheck_near_ties(fast, xs, vecs, thr, inclusive=False, rho=None):
+    """Recheck in exact arithmetic on the float inputs every sample whose
+    least value - threshold over ``vecs`` lies within 4 ulps of the
+    threshold: the mask ``fast`` must give the exact answer there.  With
+    ``rho`` the threshold is the exact rho |q|_2, compared by squares.
+    Returns the number of samples rechecked."""
+    values = np.abs(vecs.astype(float) @ xs).max(axis=2)
+    gap = values - thr
+    least = gap.argmin(axis=1)
+    near = np.abs(gap[np.arange(len(xs)), least]) <= 4 * np.spacing(thr[least])
+    for s in np.nonzero(near)[0]:
+        x = [[Fraction(float(v)) for v in row] for row in xs[s]]
+        hit = False
+        for k, q in enumerate(vecs.tolist()):
+            value = max(abs(sum(qi * x[i][j] for i, qi in enumerate(q))) for j in range(len(x[0])))
+            if rho is None:
+                lhs, rhs = value, Fraction(float(thr[k]))
+            else:
+                lhs, rhs = value * value, Fraction(rho) ** 2 * sum(qi * qi for qi in q)
+            hit = lhs < rhs or (inclusive and lhs == rhs)
+            if hit:
+                break
+        assert hit == bool(fast[s]), (s, xs[s].tolist())
+    return int(near.sum())
+
+
+def engine_spy(monkeypatch):
+    """Record every call of the box engine; returns the call list."""
+    engine, calls = measure._box_witness_mask, []
+    monkeypatch.setattr(measure, "_box_witness_mask", lambda *a: calls.append(1) or engine(*a))
+    return calls
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     """A cell budget of 128 splits most tail blocks into several chunks of
@@ -84,9 +124,17 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(measure, "_CELL_BUDGET", 128)
 
 
+@pytest.fixture
+def lattice_only(monkeypatch):
+    """Every block takes the lattice reduction, however few points its box
+    holds."""
+    monkeypatch.setattr(measure, "_DIRECT_BOX", 0)
+
+
 @pytest.mark.usefixtures("small_chunks")
 class TestEngineAgreement:
-    """The interval fast paths must agree exactly with the direct scan."""
+    """The lattice box engine must agree exactly with the direct scan, and
+    with exact arithmetic at every near tie."""
 
     def test_psi_witness_masks(self):
         rng = np.random.default_rng(71)
@@ -101,10 +149,11 @@ class TestEngineAgreement:
                     fast = batch_has_witness(xs, psi, n_min, q_max)
                     slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
                     assert np.array_equal(fast, slow)
+                    recheck_near_ties(fast, xs, vecs, psi(heights.astype(float)))
 
     def test_psi_inner_end_candidate(self):
-        # the tail q_2 = 1 sits below N = 4 and the V-bottom 6.5 lies beyond
-        # it, so only the inner end q_1 = N of the split range is a witness
+        # the only witness, (4, 1), has its leading entry at the cutoff N = 4
+        # while the minimum of |q_1 x_1 + x_2| lies at q_1 = 6.5
         xs = np.array([[[0.02], [-0.13]]])
         psi = ApproximatingFunction.power(300.0, 6.0)
         vecs, heights = band_vectors(2, 4, 8)
@@ -120,7 +169,9 @@ class TestEngineAgreement:
             fast = batch_has_witness(xs, psi, 2, 15)
             slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
             assert np.array_equal(fast, slow)
+            recheck_near_ties(fast, xs, vecs, psi(heights.astype(float)))
 
+    @pytest.mark.usefixtures("lattice_only")
     def test_const_witness_masks(self):
         rng = np.random.default_rng(73)
         for m, n in ((2, 1), (3, 1), (3, 2)):
@@ -129,19 +180,17 @@ class TestEngineAgreement:
                 bound = dirichlet_bound(m, n, t) * float(rng.uniform(0.3, 1.4))
                 vecs, _ = band_vectors(m, 1, 2 ** t)
                 for xs in _agreement_inputs(rng, (60, m, n)):
-                    fast = _box_witness_mask(xs, bound, 2 ** t)
+                    fast = box_mask(xs, bound, 2 ** t)
                     slow = _direct_union_mask(xs, vecs, np.full(len(vecs), bound), False)
                     assert np.array_equal(fast, slow)
+                    recheck_near_ties(fast, xs, vecs, np.full(len(vecs), bound))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_psi_witness_mask_powerlog_negative_kappa(self, monkeypatch, m):
-        # kappa < 0 with a convex table takes the per-tail psi rule
+        # kappa < 0 (a convex table) takes the lattice box engine
         rng = np.random.default_rng(76 + m)
         psi = ApproximatingFunction.power_log(1.0, 2.0, -0.3)
-        rule = measure._psi_witness_mask
-        calls = []
-        monkeypatch.setattr(measure, "_psi_witness_mask",
-                            lambda *a: calls.append(1) or rule(*a))
+        calls = engine_spy(monkeypatch)
         q_max = 12 if m == 2 else 6
         for n_min in (1, 3, q_max):
             vecs, heights = band_vectors(m, n_min, q_max)
@@ -149,25 +198,30 @@ class TestEngineAgreement:
                 fast = batch_has_witness(xs, psi, n_min, q_max)
                 slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
                 assert np.array_equal(fast, slow)
+                recheck_near_ties(fast, xs, vecs, psi(heights.astype(float)))
         assert len(calls) == 12
 
     def test_nonconvex_powerlog_table_takes_direct_scan(self, monkeypatch):
+        # a table that is not convex takes the engine too; the direct scan
+        # is only the oracle
         psi = ApproximatingFunction.power_log(1.0, 1.0, -3.0)
         table = psi(np.arange(1.0, 17.0))
         assert np.all(np.diff(table) <= 0) and np.any(np.diff(table, 2) < 0)
-        assert not measure._convex_non_increasing(table)
 
         def forbidden(*args):
-            raise AssertionError("a non-convex table reached the per-tail psi rule")
+            raise AssertionError("batch_has_witness reached the direct scan")
 
-        monkeypatch.setattr(measure, "_psi_witness_mask", forbidden)
+        calls = engine_spy(monkeypatch)
+        monkeypatch.setattr(measure, "_direct_union_mask", forbidden)
         xs = np.random.default_rng(78).random((50, 2, 1)) - 0.5
         vecs, heights = band_vectors(2, 2, 16)
         assert np.array_equal(batch_has_witness(xs, psi, 2, 16),
                               _direct_union_mask(xs, vecs, psi(heights.astype(float)), False))
+        assert len(calls) == 1
 
-    def test_rho_witness_masks(self):
+    def test_rho_witness_masks(self, monkeypatch):
         rng = np.random.default_rng(74)
+        calls = engine_spy(monkeypatch)
         for m, n, draws in ((2, 1, 20), (3, 1, 20), (2, 2, 10), (3, 2, 6), (2, 3, 6)):
             for _ in range(draws):
                 cap = int(rng.integers(2, 16))
@@ -175,13 +229,85 @@ class TestEngineAgreement:
                 vecs, _ = band_vectors(m, 1, cap)
                 norms = np.linalg.norm(vecs.astype(float), axis=1)
                 for xs in _agreement_inputs(rng, (60, m, n)):
-                    fast = _rho_witness_mask(xs, rho, cap)
+                    fast = measure._box_witness_mask(xs, *_rho_question(m, rho, cap))
                     slow = _direct_union_mask(xs, vecs, rho * norms, True)
                     assert np.array_equal(fast, slow)
+                    recheck_near_ties(fast, xs, vecs, rho * norms, True, rho)
+        assert len(calls) == 4 * (20 + 20) + 5 * (10 + 6) + 4 * 6
+        ubiquity_density(2, 1, UbiquityConfig(2, 1, OmegaFunction.power(1.0)), 3, samples=50)
+        assert len(calls) == 4 * (20 + 20) + 5 * (10 + 6) + 4 * 6 + 1
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_nonconvex_powerlog_agreement(self, m, n):
+        # powlog:1,1,-3 is non-increasing but not convex
+        rng = np.random.default_rng(180 + 10 * m + n)
+        psi = ApproximatingFunction.power_log(1.0, 1.0, -3.0)
+        q_max = {1: 16, 2: 10}[n] if m == 2 else 6
+        for n_min in (1, 2, 5):
+            vecs, heights = band_vectors(m, n_min, q_max)
+            thr = psi(heights.astype(float))
+            for xs in _agreement_inputs(rng, (60, m, n)):
+                fast = batch_has_witness(xs, psi, n_min, q_max)
+                assert np.array_equal(fast, _direct_union_mask(xs, vecs, thr, False))
+                recheck_near_ties(fast, xs, vecs, thr)
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (2, 2)])
+    def test_nonmonotone_table_agreement(self, m, n):
+        # a strict=False table that rises and falls: each block's bound is
+        # the largest table value on it
+        rng = np.random.default_rng(190 + 10 * m + n)
+        psi = ApproximatingFunction.from_table(
+            [(1, 0.004), (2, 0.05), (4, 0.01), (5, 0.08), (7, 0.002), (9, 0.03)], strict=False)
+        q_max = 12 if m == 2 else 6
+        for n_min in (1, 3, 6):
+            vecs, heights = band_vectors(m, n_min, q_max)
+            thr = psi(heights.astype(float))
+            for xs in _agreement_inputs(rng, (60, m, n)):
+                fast = batch_has_witness(xs, psi, n_min, q_max)
+                assert np.array_equal(fast, _direct_union_mask(xs, vecs, thr, False))
+                recheck_near_ties(fast, xs, vecs, thr)
+
+    def test_gamma_points_with_scale(self):
+        # the variety's eta-sampled points; gamma_dichotomy scales psi by the
+        # absorption constant, which is 1 at m = 2, so other scales are tried
+        rng = np.random.default_rng(197)
+        xs = _sample_eta_batch(rng, 300, 2, 2)[0]
+        for psi, c in ((ApproximatingFunction.power(1.0, 3.0), 2.5),
+                       (ApproximatingFunction.power(0.3, 1.0), 0.7),
+                       (ApproximatingFunction.power(1.0, 2.0), absorption_constant(4))):
+            for n_min, q_max in ((2, 16), (4, 16), (8, 12)):
+                vecs, heights = band_vectors(2, n_min, q_max)
+                thr = c * psi(heights.astype(float))
+                fast = batch_has_witness(xs, psi, n_min, q_max, scale=c)
+                assert np.array_equal(fast, _direct_union_mask(xs, vecs, thr, False))
+                recheck_near_ties(fast, xs, vecs, thr)
+
+    @pytest.mark.parametrize("m, n, res, cap, draws", [(2, 1, 64, 6, None), (3, 1, 128, 4, 4000),
+                                                       (2, 2, 32, 3, 4000)])
+    def test_rho_ties_at_inclusive_bound(self, m, n, res, cap, draws):
+        # X on the grid (1/res) Z (all of it, or seeded draws) and rho = 1/res:
+        # |q.x_j| = rho |q|_2 can hold exactly, for axis vectors, q = (3, 4)
+        # or q = (1, 2, 2), so some samples are decided by a tie, which the
+        # inclusive bound counts as a hit
+        rho = 1 / res
+        if draws is None:
+            axes = np.meshgrid(*[np.arange(-res // 2, res // 2) / res] * (m * n), indexing="ij")
+            xs = np.stack([a.ravel() for a in axes], axis=1).reshape(-1, m, n)
+        else:
+            xs = np.random.default_rng(res).integers(-res // 2, res // 2, (draws, m, n)) / res
+        vecs, _ = band_vectors(m, 1, cap)
+        norms = np.linalg.norm(vecs.astype(float), axis=1)
+        below = float(np.nextafter(rho, 0.0))
+        fast = measure._box_witness_mask(xs, *_rho_question(m, rho, cap))
+        assert np.array_equal(fast, _direct_union_mask(xs, vecs, rho * norms, True))
+        fast_below = measure._box_witness_mask(xs, *_rho_question(m, below, cap))
+        assert np.array_equal(fast_below, _direct_union_mask(xs, vecs, below * norms, True))
+        assert np.sum(fast & ~fast_below) > 0       # samples a tie decides
+        assert recheck_near_ties(fast, xs, vecs, rho * norms, True, rho) > 0
 
     def test_general_n_falls_back_to_direct(self):
-        # n = 2 takes the same per-tail psi rule as n = 1; its mask must still
-        # equal the direct shell scan it once fell back to
+        # n = 2 takes the same box engine as n = 1; its mask must still equal
+        # the direct shell scan it once fell back to
         rng = np.random.default_rng(75)
         psi = ApproximatingFunction.power(1.0, 1.0)
         xs = rng.random((40, 2, 2)) - 0.5
@@ -189,10 +315,12 @@ class TestEngineAgreement:
         vecs, heights = band_vectors(2, 1, 6)
         slow = _direct_union_mask(xs, vecs, psi(heights.astype(float)), False)
         assert np.array_equal(mask, slow)
+        recheck_near_ties(mask, xs, vecs, psi(heights.astype(float)))
 
 
+@pytest.mark.usefixtures("lattice_only")
 class TestBoxEngine:
-    """The lattice box engine behind :func:`estimate_E_t`."""
+    """The lattice reduction and enumeration of the box engine."""
 
     @pytest.mark.usefixtures("small_chunks")
     @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (3, 2), (4, 1)])
@@ -200,7 +328,7 @@ class TestBoxEngine:
         rng = np.random.default_rng(80 + 10 * m + n)
         for t in range(1, 13):
             for xs in _agreement_inputs(rng, (40, m, n)):
-                assert _box_witness_mask(xs, dirichlet_bound(m, n, t), 2 ** t).all(), t
+                assert box_mask(xs, dirichlet_bound(m, n, t), 2 ** t).all(), t
 
     @pytest.mark.usefixtures("small_chunks")
     @pytest.mark.parametrize("m, n", [(3, 1), (3, 2)])
@@ -208,7 +336,7 @@ class TestBoxEngine:
         rng = np.random.default_rng(90 + n)
         xs = rng.random((300, m, n)) - 0.5
         base = dirichlet_bound(m, n, 6)
-        masks = {(cap, f): _box_witness_mask(xs, f * base, cap)
+        masks = {(cap, f): box_mask(xs, f * base, cap)
                  for cap in (1, 5, 20, 64, 200) for f in (0.01, 0.1, 0.5, 2.0)}
         for (cap, f), mask in masks.items():
             for (cap2, f2), mask2 in masks.items():
@@ -235,7 +363,7 @@ class TestBoxEngine:
             bound = factor * dirichlet_bound(3, 1, 7)
             slow = least < bound
             assert 0 < slow.sum() < len(xs)
-            assert np.array_equal(_box_witness_mask(xs, bound, cap), slow)
+            assert np.array_equal(box_mask(xs, bound, cap), slow)
 
     @pytest.mark.usefixtures("small_chunks")
     def test_enumeration_finds_what_the_rows_miss(self, monkeypatch):
@@ -249,20 +377,48 @@ class TestBoxEngine:
             bound = factor * dirichlet_bound(m, n, t)
             for xs in _agreement_inputs(rng, (200, m, n)):
                 slow = _direct_union_mask(xs, vecs, np.full(len(vecs), bound), False)
-                assert np.array_equal(_box_witness_mask(xs, bound, 2 ** t), slow)
+                assert np.array_equal(box_mask(xs, bound, 2 ** t), slow)
                 monkeypatch.setattr(measure, "_coefficient_box",
                                     lambda bounds: np.zeros((0, len(bounds)), dtype=np.int64))
-                missed += int(np.sum(slow & ~_box_witness_mask(xs, bound, 2 ** t)))
+                missed += int(np.sum(slow & ~box_mask(xs, bound, 2 ** t)))
                 monkeypatch.setattr(measure, "_coefficient_box", coefficient_box)
         assert missed >= 10
 
     @pytest.mark.usefixtures("small_chunks")
     def test_zero_matrix_and_zero_row(self):
         zero = np.zeros((3, 3, 2))
-        assert _box_witness_mask(zero, 1e-9, 1).all()
+        assert box_mask(zero, 1e-9, 1).all()
         xs = np.array([[[0.3], [0.0]], [[0.3], [0.2]]])   # x_2 = 0: q = e_2
-        assert _box_witness_mask(xs, 1e-9, 1).tolist() == [True, False]
-        assert not _box_witness_mask(zero, 0.5, 0).any()   # no height at all
+        assert box_mask(xs, 1e-9, 1).tolist() == [True, False]
+        assert not box_mask(zero, 0.5, 0).any()   # no height at all
+
+    @pytest.mark.parametrize("h, j", [(3, 0), (5, 7), (7, 123)])
+    def test_corner_witness_needs_the_rounding_margin(self, h, j):
+        # q0 = (H, H) is the only witness of height H/2 .. H, at a corner of
+        # the scaled box: |q0_i| = H and |q0.x| one ulp below b.  The reduced
+        # basis is {(1, 1), r} with r orthogonal to q0 B, so q0 = H (1, 1)
+        # sits on the enumeration bound itself: sqrt(3) |d_1| exceeds H by
+        # less than an ulp, and only the margin keeps the coefficient H.  The
+        # table psi is tiny below H, so the least multiple (H/2)(1, 1) of the
+        # reduced row misses and only the enumeration can find q0.
+        H, ulp = 2 ** h, 2.0 ** -60
+        b = (2 ** 52 + 1 + 2 * H * j) * ulp           # mantissa = 1 mod 2H
+        v0 = float(np.nextafter(b, 0.0))
+        k = -(-(2 * H - 2) // 3)                       # x1 >= 2b
+        x2 = -(1 + k * (2 + (v0 / b) ** 2)) * b * b / (v0 * H)
+        x2 = round(x2 / (2 * ulp)) * 2 * ulp
+        x1 = v0 / H - x2
+        xs = np.array([[[x1], [x2]]])
+        exact = [Fraction(x1), Fraction(x2)]
+        assert H * (exact[0] + exact[1]) == Fraction(v0) == Fraction(b) - Fraction(ulp)
+        psi = ApproximatingFunction.from_table([(1, b * 1e-6), (H, b)], strict=False)
+        vecs, heights = band_vectors(2, H // 2, H)
+        thr = psi(heights.astype(float))
+        assert thr[heights == H].tolist() == [b] * int(np.sum(heights == H))
+        hits = [q for q, t in zip(vecs.tolist(), thr.tolist())
+                if abs(q[0] * exact[0] + q[1] * exact[1]) < Fraction(t)]
+        assert hits == [[H, H]]
+        assert batch_has_witness(xs, psi, H // 2, H).tolist() == [True]
 
     def test_exact_tie_is_not_a_witness(self):
         # dyadic X: every |q.x| is exact, and the strict bound excludes the minimum
@@ -271,8 +427,8 @@ class TestBoxEngine:
         values = np.abs(vecs.astype(float) @ xs[0, :, 0])
         best = float(values.min())
         assert best == 1 / 1024 and vecs[values == best].tolist() == [[2, -2, -1]]
-        assert _box_witness_mask(xs, best, 3).tolist() == [False]
-        assert _box_witness_mask(xs, np.nextafter(best, 1.0), 3).tolist() == [True]
+        assert box_mask(xs, best, 3).tolist() == [False]
+        assert box_mask(xs, np.nextafter(best, 1.0), 3).tolist() == [True]
 
     @pytest.mark.parametrize("m, n, t", [(2, 1, 30), (3, 1, 18)])
     def test_rounding_guard(self, m, n, t):
@@ -349,7 +505,7 @@ class TestExcessHeight:
         with pytest.raises(PreconditionError):
             estimate_E_t(2, 2, OmegaFunction.power(1.0), t=3, samples=100, seed=0)
 
-    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.usefixtures("small_chunks", "lattice_only")
     def test_grid_agreement_small(self):
         # deterministic midpoint grid vs Monte Carlo on a 2-dim configuration
         omega = OmegaFunction.power(1.0)
@@ -362,7 +518,7 @@ class TestExcessHeight:
 
         hits, total = _run(
             _grid_source(2, 1024),
-            lambda b: int(_box_witness_mask(b.reshape(len(b), 2, 1), bound, cap).sum()),
+            lambda b: int(box_mask(b.reshape(len(b), 2, 1), bound, cap).sum()),
         )
         grid_est = hits / total
         comb = math.hypot(mc.stderr, math.sqrt(grid_est * (1 - grid_est) / total))
