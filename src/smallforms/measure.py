@@ -25,9 +25,9 @@ rho (ubiquity): dyadic blocks, b = rho sqrt(m) hi rounded up, filter
 Where a computed bound on the rounding of the reduced bases (of order
 m eps hi max|x| / b) exceeds ``_ROUNDING_LIMIT`` the engine raises
 :class:`BudgetExceededError` instead of answering: with omega(t) = t, from
-t = 27 at (2, 1), t = 18 at (3, 1) and t = 13 at (4, 1).  The cached-shell
-scan is the oracle the engine is cross-validated against in the test suite,
-and the path of delta-t.
+t = 27 at (2, 1), t = 18 at (3, 1) and t = 13 at (4, 1).  The band scan
+over :func:`smallforms.search.band_vectors` is the oracle the engine is
+cross-validated against in the test suite, and the path of delta-t.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError
 from .forms import DISTANCE_CONVENTION
 from .functions import ApproximatingFunction
-from .search import _BOX_CELL_CAP, _canonical_rows, _float_power_of_two, band_vectors, dirichlet_bound
+from .search import _canonical_box, _float_power_of_two, _height_blocks, band_vectors, dirichlet_bound
 
 __all__ = [
     "ExperimentReport",
@@ -345,18 +345,8 @@ def _lll_transform(basis, U):
     return U
 
 
-@lru_cache(maxsize=256)
-def _coefficient_box(bounds):
-    """Integer c with |c_i| <= bounds[i] whose first nonzero entry is positive
-    (one of each pair +-c), shape (P, m)."""
-    if math.prod(2 * k + 1 for k in bounds) > _BOX_CELL_CAP:
-        raise BudgetExceededError(f"coefficient box {bounds} of a reduced basis is over budget")
-    axes = [np.arange(-k, k + 1, dtype=np.int64) for k in bounds]
-    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bounds))
-    box = box[box.any(axis=1)]
-    box = box[_canonical_rows(box)]
-    box.flags.writeable = False
-    return box
+# the coefficient boxes c of the reduced bases, one of each +-c
+_coefficient_box = lru_cache(maxsize=256)(_canonical_box)
 
 
 def _box_hits(q, xs, height_cap, bound, keep):
@@ -486,16 +476,6 @@ def _box_witness_mask(xs, blocks, keep=None):
     return out
 
 
-def _height_blocks(lo, hi):
-    """Dyadic height blocks [a, 2a - 1] from a = lo while the next one fits
-    whole, then one last block up to hi (less than 4a)."""
-    blocks = []
-    while 4 * lo - 1 <= hi:
-        blocks.append((lo, 2 * lo - 1))
-        lo *= 2
-    return blocks + [(lo, hi)]
-
-
 def _rho_question(m, rho, height_cap):
     """Blocks and filter for :func:`_box_witness_mask` of a nonzero q,
     |q|_inf <= cap, with max_j |q.x_j| <= rho |q|_2.  Each b is the next
@@ -518,7 +498,7 @@ def batch_has_witness(xs, psi: ApproximatingFunction, n_min, q_max, scale=1.0):
     (:func:`_box_witness_mask`) in dyadic height blocks, each bounded by the
     largest threshold on it, with the exact filter max_j |q.x_j| <
     scale psi(|q|), n_min <= |q|: neither convexity nor monotonicity of psi
-    is needed.  The direct shell scan is only the tests' oracle (and the
+    is needed.  The direct band scan is only the tests' oracle (and the
     path of delta-t).  Raises :class:`BudgetExceededError` where the
     engine's rounding bound is not small.
     """
@@ -548,7 +528,10 @@ def _delta_t(experiment, m, n, psi, t, k, source, seed, threads, budget, params,
         raise PreconditionError("need t >= 1 and a finite band base k > 1")
     h_lo = max(1, math.ceil(k ** (t - 1)))
     h_hi = math.floor(k ** t)
-    vecs, heights = band_vectors(m, h_lo, h_hi)
+    if h_lo <= h_hi:
+        vecs, heights = band_vectors(m, h_lo, h_hi)
+    else:  # no integer height in [k^(t-1), k^t]: an empty union
+        vecs, heights = np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
     if len(vecs) * source[0] * n > budget:
         raise BudgetExceededError("height band too large for this many points")
     norms = np.linalg.norm(vecs.astype(float), axis=1)

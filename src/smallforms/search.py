@@ -2,18 +2,22 @@
 bound, witness enumeration, the pigeonhole (Dirichlet-type) guarantee, and
 the inverse-matrix height obstruction.
 
+One enumeration of canonical integer vectors (one of each +-q, first
+nonzero coordinate positive) serves the package: :func:`_canonical_box`,
+the only box builder and cell-cap check; :func:`_ball`, the cached q with
+0 < |q|_inf <= h in (height, lex) order, which :func:`band_vectors` slices;
+and :func:`_height_blocks`, the one dyadic cut of heights.
+
 Two engines back the public operations:
 
-* the *naive oracle* materializes the canonical height shells (one
-  representative per +-q pair, heights ascending, lexicographic within a
-  shell) and evaluates every vector of the band;
+* the *naive oracle* evaluates every vector of the band;
 * the *per-tail interval engine* fixes the trailing m-1 coordinates
-  ("tail") and solves for the admissible leading coordinates analytically,
-  which turns the per-vector scan into a per-tail scan.  One candidate
-  expansion, :func:`_tail_candidates`, serves :func:`min_form`,
-  :func:`witnesses` and the final pick of :func:`dirichlet_witness`; it
-  filters its candidates with the oracle's own expression, so both engines
-  return the same vectors.
+  ("tail", a row of the height ball in dimension m-1) and solves for the
+  admissible leading coordinates analytically, which turns the per-vector
+  scan into a per-tail scan.  One candidate expansion,
+  :func:`_tail_candidates`, serves :func:`min_form`, :func:`witnesses` and
+  the final pick of :func:`dirichlet_witness`; it filters its candidates
+  with the oracle's own expression, so both engines return the same vectors.
 
 The interval engine is validated against the naive oracle in the test
 suite; every public result (Witness values in particular) is recomputed
@@ -22,6 +26,7 @@ through :func:`smallforms.forms.form_value` before being returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,74 +89,68 @@ class WitnessSearchResult:
 
 
 # ---------------------------------------------------------------------------
-# canonical shells
+# the one enumeration: canonical boxes, height balls and dyadic blocks
 # ---------------------------------------------------------------------------
 
 def _canonical_rows(box):
-    """Rows whose first nonzero coordinate is positive (rows must be nonzero)."""
+    """Rows whose first nonzero coordinate is positive; a zero row is not one."""
     nz = box != 0
     first = np.argmax(nz, axis=1)
     lead = box[np.arange(box.shape[0]), first]
     return lead > 0
 
 
-@lru_cache(maxsize=512)
-def _shell(m, h):
-    """Canonical vectors with |q|_inf == h, lexicographically ascending."""
-    if (2 * h + 1) ** m > _BOX_CELL_CAP:
-        raise BudgetExceededError(f"shell |q|={h} in dimension {m} is over budget")
-    rng = np.arange(-h, h + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * m), indexing="ij")
-    box = np.stack([g.ravel() for g in grids], axis=1)
-    heights = np.max(np.abs(box), axis=1)
-    box = box[heights == h]
-    box = box[_canonical_rows(box)]
+def _canonical_box(bounds):
+    """Canonical nonzero q (one of each +-q) with |q_i| <= bounds[i], shape
+    (P, len(bounds)), lexicographically ascending and read-only.  The only
+    builder of integer boxes, so the only place the cell cap is checked."""
+    if math.prod(2 * k + 1 for k in bounds) > _BOX_CELL_CAP:
+        raise BudgetExceededError(f"integer box {tuple(bounds)} is over budget")
+    if not bounds:
+        box = np.zeros((0, 0), dtype=np.int64)
+    else:
+        axes = [np.arange(-k, k + 1, dtype=np.int64) for k in bounds]
+        grids = np.meshgrid(*axes, indexing="ij", copy=False)   # views: one copy, in the stack
+        box = np.stack(grids, axis=-1).reshape(-1, len(bounds))
+        box = box[_canonical_rows(box)]
     box.flags.writeable = False
     return box
+
+
+@lru_cache(maxsize=64)
+def _ball(m, h):
+    """(vectors, heights) of the canonical q with 0 < |q|_inf <= h in
+    (height, lex) order, both read-only; m = 0 gives empty arrays."""
+    box = _canonical_box((h,) * m)
+    heights = np.abs(box).max(axis=1, initial=0)
+    order = np.argsort(heights, kind="stable")
+    vecs, heights = box[order], heights[order]
+    vecs.flags.writeable = heights.flags.writeable = False
+    return vecs, heights
 
 
 def band_vectors(m, h_lo, h_hi):
     """Canonical vectors with h_lo <= |q|_inf <= h_hi in (height, lex) order.
 
-    Returns (vectors, heights).  Raises :class:`BudgetExceededError` when the
-    band is too large to materialize.
+    Returns read-only (vectors, heights), a slice of the cached height ball
+    of radius h_hi.  Raises :class:`BudgetExceededError` when the ball is too
+    large to materialize.
     """
     if h_lo < 1 or h_hi < h_lo:
         raise PreconditionError("need 1 <= h_lo <= h_hi")
-    est = (2 * h_hi + 1) ** m - (2 * h_lo - 1) ** m
-    if est > _BOX_CELL_CAP:
-        raise BudgetExceededError(
-            f"band [{h_lo}, {h_hi}] in dimension {m} has ~{est:.2e} vectors, over budget"
-        )
-    shells = [_shell(m, h) for h in range(h_lo, h_hi + 1)]
-    vecs = np.concatenate(shells, axis=0)
-    heights = np.concatenate(
-        [np.full(len(s), h, dtype=np.int64) for s, h in zip(shells, range(h_lo, h_hi + 1))]
-    )
-    return vecs, heights
+    vecs, heights = _ball(m, h_hi)
+    start = int(np.searchsorted(heights, h_lo))
+    return vecs[start:], heights[start:]
 
 
-@lru_cache(maxsize=64)
-def _tails(m, h_max):
-    """Canonical nonzero tails (q_2 .. q_m) with height <= h_max, sorted by
-    height so height blocks are contiguous slices; returns (tails, heights)."""
-    if m < 2:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if (2 * h_max + 1) ** (m - 1) > _BOX_CELL_CAP:
-        raise BudgetExceededError(f"tail box of height {h_max} in dimension {m} is over budget")
-    rng = np.arange(-h_max, h_max + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * (m - 1)), indexing="ij")
-    box = np.stack([g.ravel() for g in grids], axis=1)
-    heights = np.max(np.abs(box), axis=1)
-    keep = heights > 0
-    box, heights = box[keep], heights[keep]
-    canon = _canonical_rows(box)
-    box, heights = box[canon], heights[canon]
-    order = np.argsort(heights, kind="stable")
-    box, heights = np.ascontiguousarray(box[order]), heights[order]
-    box.flags.writeable = False
-    heights.flags.writeable = False
-    return box, heights
+def _height_blocks(lo, hi):
+    """Dyadic height blocks [a, 2a - 1] from a = lo while the next one fits
+    whole, then one last block up to hi (less than 4a)."""
+    blocks = []
+    while 4 * lo - 1 <= hi:
+        blocks.append((lo, 2 * lo - 1))
+        lo *= 2
+    return blocks + [(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ def _min_form_tails(X: MatrixPoint, q_max):
     """The naive oracle's minimizer, found among the candidates at a bound
     just above B, the least value of some evaluated vectors: e_1 and, per
     tail, q_1 = rint(-p_0/lead_0), the best q_1 for column 0."""
-    tails, _ = _tails(X.m, q_max)
+    tails, _ = _ball(X.m - 1, q_max)
     lead = X.entries[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         q1 = np.rint(-(tails.astype(float) @ X.entries[1:, 0]) / lead[0])
@@ -211,7 +210,7 @@ def _witnesses_naive(X, psi, q_max):
 def _witnesses_tails(X, psi, q_max):
     """Candidates at psi(max(tail height, 1)), valid as psi is non-increasing,
     filtered at psi(|q|) as the naive oracle does."""
-    tails, tail_heights = _tails(X.m, q_max)
+    tails, tail_heights = _ball(X.m - 1, q_max)
     bound = psi(np.concatenate(([1], tail_heights)).astype(float))  # zero tail first
     vecs = _tail_candidates(X, tails, bound, q_max, lambda v, h: v < psi(h.astype(float)))
     return [tuple(int(v) for v in row) for row in vecs]
@@ -292,23 +291,6 @@ def _k_range(lo, hi, cap):
     return k_lo, k_hi
 
 
-def _dyadic_tail_blocks(tail_heights, cap):
-    """(th_min, slice) pairs cutting a height-sorted tail array dyadically."""
-    bounds = [0]
-    h = 1
-    while h < cap:
-        bounds.append(h)
-        h *= 2
-    bounds.append(cap)
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        a = int(np.searchsorted(tail_heights, lo, side="right"))
-        b = int(np.searchsorted(tail_heights, hi, side="right"))
-        if b > a:
-            out.append((lo + 1, slice(a, b)))
-    return out
-
-
 def _tail_candidates(X: MatrixPoint, tails, bound, cap, keep):
     """Canonical q = +-(q_1, tail) with |q|_inf <= cap that pass ``keep``, in
     (height, lex) order.
@@ -346,62 +328,44 @@ def _tail_candidates(X: MatrixPoint, tails, bound, cap, keep):
     return vecs[np.lexsort((*vecs.T[::-1], heights))]
 
 
-def _dirichlet_scan(X: MatrixPoint, height_cap, bound):
-    """Per-tail minimum witness heights, scanned in ascending height blocks.
+def _dirichlet_first(X: MatrixPoint, height_cap, bound):
+    """First (height, lex) canonical q with |q| <= cap and |qX|_inf < bound.
 
-    Returns (tails, visited, h_star): ``visited`` holds one (slice, best)
-    pair per dyadic tail block scanned, best[i] being the smallest
-    achievable |q|_inf through tail i of the block (int64 max when none),
-    and h_star is their minimum.  The scan stops before the first block
-    whose tails are all taller than h_star.
-    Candidate leading coordinates are the nearest-to-zero admissible integers
-    with +-1 padding, verified directly against the strict inequality.
+    The tails of the height ball are scanned in the dyadic blocks of
+    :func:`_height_blocks`: per tail, the admissible q_1 nearest zero (with
+    +-1 padding, verified against the strict inequality) give the least
+    height through it, and h_star is the least of these and of e_1.  The scan
+    stops before the first block whose tails are all taller than h_star;
+    the candidates of the tails reaching h_star, and of the zero tail, pick
+    the hit.  Returns None when no vector qualifies.
     """
-    tails, tail_heights = _tails(X.m, height_cap)
-    lead = X.entries[0]
-    rest = X.entries[1:]
-    n = X.n
+    tails, tail_heights = _ball(X.m - 1, height_cap)
+    lead, rest = X.entries[0], X.entries[1:]
     sentinel = np.iinfo(np.int64).max
-    visited = []
-    h_star = sentinel
-    for th_min, block in _dyadic_tail_blocks(tail_heights, height_cap):
-        if th_min > h_star:
+    h_star = 1 if np.all(np.abs(lead) < bound) else sentinel   # e_1
+    reaching = []
+    for lo, hi in _height_blocks(1, height_cap):
+        if lo > h_star:
             break  # every q through later tails is strictly taller
+        block = slice(*np.searchsorted(tail_heights, [lo, hi + 1]))
         p = tails[block].astype(float) @ rest  # (k, n)
-        lo, hi = _interval_bounds(p, lead, bound)
-        k_lo, k_hi = _k_range(lo, hi, height_cap)
+        k_lo, k_hi = _k_range(*_interval_bounds(p, lead, bound), height_cap)
         minabs = np.where(k_lo > 0, k_lo, np.where(k_hi < 0, k_hi, 0))
         best = np.full(len(minabs), sentinel, dtype=np.int64)
         for shift in (-1, 0, 1):
             cand = np.clip(minabs + shift, -height_cap, height_cap)
             vals = np.abs(cand * lead[0] + p[:, 0])
-            for j in range(1, n):
+            for j in range(1, X.n):
                 np.maximum(vals, np.abs(cand * lead[j] + p[:, j]), out=vals)
             heights = np.maximum(np.abs(cand), tail_heights[block])
-            good = vals < bound
-            np.minimum(best, np.where(good, heights, sentinel), out=best)
-        visited.append((block, best))
-        if best.size:
-            h_star = min(h_star, int(best.min()))
-    return tails, visited, h_star
-
-
-def _dirichlet_first(X: MatrixPoint, height_cap, bound):
-    """First (height, lex) canonical q with |q| <= cap and |qX|_inf < bound.
-
-    The scan finds the first hit's height h_star; the candidates of the
-    tails reaching it, and of the zero tail, pick the hit.  Those tails lie
-    in the visited blocks (a tail's best height is at least its own height,
-    and the unvisited tails are taller than h_star).  Returns None when no
-    vector qualifies.
-    """
-    tails, visited, h_star = _dirichlet_scan(X, height_cap, bound)
-    if np.all(np.abs(X.entries[0]) < bound):
-        h_star = min(h_star, 1)  # e_1
-    cap = min(h_star, height_cap)
-    reaching = [tails[block][best == h_star] for block, best in visited]
-    vecs = _tail_candidates(X, np.concatenate([tails[:0], *reaching]), bound, cap,
-                            lambda v, h: v < bound)
+            np.minimum(best, np.where(vals < bound, heights, sentinel), out=best)
+        least = int(best.min(initial=sentinel))
+        if least < h_star:
+            h_star, reaching = least, []
+        if least == h_star < sentinel:
+            reaching.append(tails[block][best == h_star])
+    vecs = _tail_candidates(X, np.concatenate([tails[:0], *reaching]), bound,
+                            min(h_star, height_cap), lambda v, h: v < bound)
     return tuple(int(v) for v in vecs[0]) if len(vecs) else None
 
 

@@ -157,6 +157,14 @@ class TestDispatch:
         assert any(p.endswith(".json") for p in written)
         assert any(p.endswith(".csv") for p in written)
 
+    def test_delta_t_empty_band_reports_zero_hits(self):
+        # k = 1.1 at t = 2: no integer height in [1.1, 1.21]
+        code, lines = run_capture(
+            ["measure", "delta-t", "--m", "2", "--n", "1", "--psi", "pow:1,2",
+             "--t", "2", "--k", "1.1", "--samples", "10", "--seed", "1"]
+        )
+        assert code == 0 and "(0/10)" in lines[0]
+
     def test_manifold_modes(self):
         code, lines = run_capture(["manifold", "eta", "--m", "2", "--n", "2", "--seed", "1"])
         assert code == 0 and "rank-deficient=True" in lines[0]

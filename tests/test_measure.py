@@ -470,6 +470,14 @@ class TestDeltaT:
         with pytest.raises(BudgetExceededError):
             estimate_delta_t(3, 1, psi, t=11, samples=10 ** 6, seed=0)
 
+    def test_empty_band_reports_zero_hits(self):
+        # no integer height lies in [1.1, 1.21]: the union is empty
+        psi = ApproximatingFunction.power(1.0, 2.0)
+        rep = estimate_delta_t(2, 1, psi, t=2, k=1.1, samples=10, seed=1)
+        assert (rep.hits, rep.samples, rep.extras["q_count"]) == (0, 10, 0)
+        grid = delta_t_quadrature(2, 1, psi, t=2, k=1.1, resolution=8)
+        assert (grid.hits, grid.samples, grid.extras["q_count"]) == (0, 64, 0)
+
     def test_grid_oracle_agreement_small(self):
         psi = ApproximatingFunction.power(1.0, 1.0)
         mc = estimate_delta_t(2, 1, psi, t=3, samples=20_000, seed=42)

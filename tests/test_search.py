@@ -1,8 +1,11 @@
+import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smallforms
 from smallforms import (
     ApproximatingFunction,
     BudgetExceededError,
@@ -16,6 +19,7 @@ from smallforms import (
     min_form,
     witnesses,
 )
+from smallforms.search import _ball, _canonical_box, band_vectors
 
 
 # -- independent brute-force oracle (kept free of the package's enumeration) --
@@ -32,6 +36,16 @@ def iter_canonical(m, q_max):
         out.append(q)
     out.sort(key=lambda q: (max(abs(v) for v in q), q))
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def numpy_canonical(m, q_max):
+    """iter_canonical by numpy: the box in lex order is symmetric under
+    negation about the zero vector, so the canonical half is what follows it."""
+    side = 2 * q_max + 1
+    box = np.indices((side,) * m).reshape(m, -1).T - q_max
+    half = box[side ** m // 2 + 1:]
+    return half[np.argsort(np.abs(half).max(axis=1), kind="stable")]
 
 
 def oracle_value(q, X):
@@ -190,20 +204,30 @@ class TestDirichlet:
         assert w.value == 0.0
 
     def test_first_in_order_matches_oracle(self):
+        # t up to 10 at (2, 1) and 6 elsewhere crosses every dyadic block of
+        # the scan; the oracle is the first hit of the numpy enumeration
         rng = np.random.default_rng(31)
         cases = []
         for trial in range(60):
             m, n = [(2, 1), (3, 1), (3, 2), (2, 2)][trial % 4]
             cases.append((MatrixPoint(rng.random((m, n)) - 0.5), 1 + trial % 3))
-        cases += [(X, t) for X in STRUCTURED for t in (1, 2, 3)]
+        for (m, n), t_max in {(2, 1): 10, (3, 1): 6, (3, 2): 6, (2, 2): 6}.items():
+            cases += [(MatrixPoint(rng.random((m, n)) - 0.5), t)
+                      for t in range(4, t_max + 1) for _ in range(3)]
+        cases += [(X, t) for t in range(1, 7) for X in STRUCTURED]
         for X, t in cases:
             bound = dirichlet_bound(X.m, X.n, t)
-            first = next(
-                (q for q in iter_canonical(X.m, 2 ** t) if oracle_value(q, X) < bound), None
-            )
-            assert first is not None
-            w = dirichlet_witness(X, t)
-            assert w.q == first
+            vecs = numpy_canonical(X.m, 2 ** t)
+            hit = np.abs(vecs.astype(float) @ X.entries).max(axis=1) < bound
+            assert hit.any()
+            first = tuple(int(v) for v in vecs[np.argmax(hit)])
+            assert dirichlet_witness(X, t).q == first
+
+    def test_exact_tie_at_the_strict_bound(self):
+        # bound 1/4 at t = 3: (0, 1) and (1, -1) reach it exactly and miss
+        assert dirichlet_bound(2, 1, 3) == 0.25
+        assert dirichlet_witness(col(0.5, 0.25), 3).q == (1, -2)
+        assert dirichlet_witness(col(0.5, np.nextafter(0.25, 0)), 3).q == (0, 1)
 
     def test_totality_sample(self):
         rng = np.random.default_rng(41)
@@ -291,7 +315,50 @@ class TestBudgets:
             witnesses(X, ApproximatingFunction.power(1.0, 1.0), SearchBudget(5000))
 
     def test_band_too_large(self):
-        from smallforms.search import band_vectors
-
         with pytest.raises(BudgetExceededError):
             band_vectors(3, 1, 4000)
+        with pytest.raises(BudgetExceededError):   # a band of one height, its box 343^3 cells
+            band_vectors(3, 171, 171)
+
+
+class TestEnumeration:
+    """The one enumeration against itertools.product."""
+
+    @pytest.mark.parametrize("m, h", [(1, 12), (2, 9), (3, 5), (4, 3)])
+    def test_bands_and_tails_in_height_lex_order(self, m, h):
+        expected = np.array(iter_canonical(m, h), dtype=np.int64)
+        heights = np.abs(expected).max(axis=1)
+        for lo in range(1, h + 1):
+            for hi in range(lo, h + 1):
+                vecs, hs = band_vectors(m, lo, hi)
+                band = (lo <= heights) & (heights <= hi)
+                assert np.array_equal(vecs, expected[band])
+                assert np.array_equal(hs, heights[band])
+                assert not vecs.flags.writeable and not hs.flags.writeable
+        tails = iter_canonical(m - 1, h)
+        tails = np.array(tails, dtype=np.int64).reshape(len(tails), m - 1)
+        vecs, hs = _ball(m - 1, h)
+        assert np.array_equal(vecs, tails) and vecs.shape == tails.shape
+        assert np.array_equal(hs, np.abs(tails).max(axis=1, initial=0))
+        assert not vecs.flags.writeable and not hs.flags.writeable
+
+    @pytest.mark.parametrize("bounds", [
+        (3,), (0,), (2, 0), (0, 3), (1, 4), (3, 0, 2), (0, 0, 0), (2, 1, 3), (0, 2, 0, 1), (),
+    ])
+    def test_canonical_box_in_lex_order(self, bounds):
+        expected = [q for q in itertools.product(*(range(-k, k + 1) for k in bounds))
+                    if any(q) and next(v for v in q if v) > 0]
+        box = _canonical_box(bounds)
+        assert box.shape == (len(expected), len(bounds))
+        assert box.tolist() == [list(q) for q in expected]
+        assert not box.flags.writeable
+
+
+def test_one_box_builder():
+    # the enumeration lives in search.py; every other module asks it
+    for path in sorted(Path(smallforms.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in ("meshgrid", "_canonical_rows", "_BOX_CELL_CAP"):
+            assert path.name == "search.py" or name not in text, f"{path.name} uses {name}"
+        if path.name == "search.py":
+            assert text.count("meshgrid") == 1
