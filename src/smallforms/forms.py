@@ -30,6 +30,7 @@ __all__ = [
     "Witness",
     "UbiquityConfig",
     "KRegularityReport",
+    "form_columns",
     "form_value",
     "resonant_distance",
     "in_delta_neighborhood",
@@ -108,8 +109,9 @@ class MatrixPoint:
 class Witness:
     """An integer vector q recorded against a specific point X.
 
-    ``height`` is |q|_inf and ``value`` is |qX|_inf; the value must be exactly
-    what :func:`form_value` recomputes from (q, X).
+    ``height`` is |q|_inf and ``value`` is |qX|_inf, each column summed from
+    the last coordinate down to the first; the value must be exactly what
+    :func:`form_value` recomputes from (q, X).
     """
 
     q: tuple
@@ -133,16 +135,35 @@ class Witness:
         return form_value(self.q, point) == self.value
 
 
+def form_columns(q, rows, p=None) -> np.ndarray:
+    """The columns p_j + sum_i q_i x_ij, shape (..., n), of integer q (..., k)
+    against ``rows`` (k, n), the matching rows x_i of X.
+
+    The one rounding of q.X in the package: per column the products
+    float(q_i) x_ij are added, onto p when given, from the last coordinate
+    down to the first, elementwise and without BLAS.  So a q's columns do not
+    depend on the array it sits in, -q negates them exactly, and with p the
+    columns of the tail (q_2, ..., q_m) against X[1:], (q_1, tail) has the
+    columns ``form_columns(q_1, X[:1], p)``.
+    """
+    q = np.asarray(q)
+    acc = np.zeros(q.shape[:-1] + rows.shape[1:]) if p is None else p
+    for i in reversed(range(q.shape[-1])):
+        acc = q[..., i, None] * rows[i] + acc   # int64 to float is exact below 2^53
+    return acc
+
+
 def form_value(q, X: MatrixPoint) -> float:
-    """|qX|_inf = max over columns j of |sum_i q_i x_ij|."""
+    """|qX|_inf = max over columns j of |sum_i q_i x_ij|, the sum taken from
+    the last coordinate down to the first (:func:`form_columns`)."""
     q_arr = _int_vector(q, X.m)
-    return float(np.max(np.abs(q_arr @ X.entries)))
+    return float(np.max(np.abs(form_columns(q_arr, X.entries))))
 
 
 def resonant_distance(X: MatrixPoint, q) -> float:
     """Distance from X to the resonant set R_q (see module docstring)."""
     q_arr = _int_vector(q, X.m)
-    return float(np.max(np.abs(q_arr @ X.entries)) / np.linalg.norm(q_arr.astype(float)))
+    return form_value(q_arr, X) / float(np.linalg.norm(q_arr.astype(float)))
 
 
 def in_delta_neighborhood(X: MatrixPoint, q, psi: ApproximatingFunction) -> bool:

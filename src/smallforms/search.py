@@ -8,16 +8,17 @@ the only box builder and cell-cap check; :func:`_ball`, the cached q with
 0 < |q|_inf <= h in (height, lex) order, which :func:`band_vectors` slices;
 and :func:`_height_blocks`, the one dyadic cut of heights.
 
-Two engines back the public operations:
+Two engines back the public operations; both value q.X by the one float sum
+of :func:`smallforms.forms.form_columns`:
 
 * the *naive oracle* evaluates every vector of the band;
 * the *per-tail interval engine* fixes the trailing m-1 coordinates
   ("tail", a row of the height ball in dimension m-1) and solves for the
   admissible leading coordinates analytically, which turns the per-vector
-  scan into a per-tail scan.  One candidate expansion,
-  :func:`_tail_candidates`, serves :func:`min_form`, :func:`witnesses` and
-  the final pick of :func:`dirichlet_witness`; it filters its candidates
-  with the oracle's own expression, so both engines return the same vectors.
+  scan into a per-tail scan.  One candidate routine, :func:`_tail_candidates`,
+  serves :func:`min_form`, :func:`witnesses` and :func:`dirichlet_witness`; it
+  values a candidate as its tail part plus q_1 x_1, the oracle's own
+  expression, so both engines return the same vectors.
 
 The interval engine is validated against the naive oracle in the test
 suite; every public result (Witness values in particular) is recomputed
@@ -38,7 +39,7 @@ from .errors import (
     SingularMatrixError,
     TheoremViolationError,
 )
-from .forms import MatrixPoint, Witness
+from .forms import MatrixPoint, Witness, form_columns
 from .functions import ApproximatingFunction
 
 __all__ = [
@@ -94,10 +95,12 @@ class WitnessSearchResult:
 
 def _canonical_rows(box):
     """Rows whose first nonzero coordinate is positive; a zero row is not one."""
-    nz = box != 0
-    first = np.argmax(nz, axis=1)
-    lead = box[np.arange(box.shape[0]), first]
-    return lead > 0
+    keep = np.zeros(len(box), dtype=bool)
+    undecided = np.ones(len(box), dtype=bool)   # all coordinates so far zero
+    for column in box.T:
+        keep |= undecided & (column > 0)
+        undecided &= column == 0
+    return keep
 
 
 def _canonical_box(bounds):
@@ -157,15 +160,9 @@ def _height_blocks(lo, hi):
 # enumeration: the naive oracle and the public searches
 # ---------------------------------------------------------------------------
 
-def _values_for_band(X: MatrixPoint, vecs):
-    """|qX|_inf for every row q of ``vecs``."""
-    prods = vecs.astype(float) @ X.entries
-    return np.max(np.abs(prods), axis=1)
-
-
 def _min_form_naive(X: MatrixPoint, q_max):
-    vecs, heights = band_vectors(X.m, 1, q_max)
-    values = _values_for_band(X, vecs)
+    vecs, _ = band_vectors(X.m, 1, q_max)
+    values = np.max(np.abs(form_columns(vecs, X.entries)), axis=1)
     idx = int(np.argmin(values))  # first occurrence = (height, lex) minimum
     return tuple(int(v) for v in vecs[idx])
 
@@ -174,14 +171,15 @@ def _min_form_tails(X: MatrixPoint, q_max):
     """The naive oracle's minimizer, found among the candidates at a bound
     just above B, the least value of some evaluated vectors: e_1 and, per
     tail, q_1 = rint(-p_0/lead_0), the best q_1 for column 0."""
-    tails, _ = _ball(X.m - 1, q_max)
-    lead = X.entries[0]
+    tails, tail_heights = _ball(X.m - 1, q_max)
+    lead = X.entries[:1]
+    p = form_columns(tails, X.entries[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        q1 = np.rint(-(tails.astype(float) @ X.entries[1:, 0]) / lead[0])
+        q1 = np.rint(-p[:, :1] / lead[0, 0])
     q1 = np.clip(np.nan_to_num(q1, nan=0.0), -q_max, q_max).astype(np.int64)
-    guesses = np.vstack([np.eye(1, X.m, dtype=np.int64), np.column_stack([q1, tails])])
-    bound = np.nextafter(_values_for_band(X, guesses).min(), np.inf)
-    vecs = _tail_candidates(X, tails, bound, q_max, lambda v, h: v == v.min())
+    guesses = np.vstack([form_columns([1], lead), form_columns(q1, lead, p)])
+    bound = np.nextafter(np.abs(guesses).max(axis=1).min(), np.inf)
+    vecs = _tail_candidates(X, tails, tail_heights, bound, q_max, lambda v, h: v == v.min())
     return tuple(int(v) for v in vecs[0])
 
 
@@ -201,7 +199,7 @@ def min_form(X: MatrixPoint, q_max, pruned=True) -> Witness:
 
 def _witnesses_naive(X, psi, q_max):
     vecs, heights = band_vectors(X.m, 1, q_max)
-    values = _values_for_band(X, vecs)
+    values = np.max(np.abs(form_columns(vecs, X.entries)), axis=1)
     thresholds = psi(heights.astype(float))
     mask = values < thresholds
     return [tuple(int(v) for v in row) for row in vecs[mask]]
@@ -212,7 +210,7 @@ def _witnesses_tails(X, psi, q_max):
     filtered at psi(|q|) as the naive oracle does."""
     tails, tail_heights = _ball(X.m - 1, q_max)
     bound = psi(np.concatenate(([1], tail_heights)).astype(float))  # zero tail first
-    vecs = _tail_candidates(X, tails, bound, q_max, lambda v, h: v < psi(h.astype(float)))
+    vecs = _tail_candidates(X, tails, tail_heights, bound, q_max, lambda v, h: v < psi(h.astype(float)))
     return [tuple(int(v) for v in row) for row in vecs]
 
 
@@ -278,39 +276,38 @@ def _float_power_of_two(t) -> float:
 
 
 def _k_range(lo, hi, cap):
-    """Integer endpoints of the open interval (lo, hi) clipped to [-cap, cap].
+    """Integer endpoints of the open interval (lo, hi) padded by 1,
+    [floor(lo), ceil(hi)], clipped to [-cap, cap].
 
     Infinities and the fallout of 0/0 columns are sanitized before the floor
     and ceil; an empty range is signalled by k_lo > k_hi.
     """
     pad = float(cap + 2)
-    lo = np.clip(np.nan_to_num(lo, nan=pad, posinf=pad, neginf=-pad), -pad, pad)
-    hi = np.clip(np.nan_to_num(hi, nan=-pad, posinf=pad, neginf=-pad), -pad, pad)
-    k_lo = np.maximum(np.floor(lo).astype(np.int64) + 1, -cap)
-    k_hi = np.minimum(np.ceil(hi).astype(np.int64) - 1, cap)
-    return k_lo, k_hi
+    lo = np.fmax(np.fmin(lo, pad), -pad)   # fmin and fmax send nan to the bound
+    hi = np.fmin(np.fmax(hi, -pad), pad)
+    return np.maximum(np.floor(lo).astype(np.int64), -cap), np.minimum(np.ceil(hi).astype(np.int64), cap)
 
 
-def _tail_candidates(X: MatrixPoint, tails, bound, cap, keep):
+def _tail_candidates(X: MatrixPoint, tails, tail_heights, bound, cap, keep):
     """Canonical q = +-(q_1, tail) with |q|_inf <= cap that pass ``keep``, in
     (height, lex) order.
 
-    The tails are the rows of ``tails`` and the zero tail, added here with
-    q_1 >= 1.  ``bound`` is a scalar or one bound per tail, zero tail first;
-    per tail the open interval of q_1 with |qX|_inf < bound is solved and
-    padded by 1 against rounding, so every q through the tail with
-    |qX|_inf < bound is a candidate.  ``keep(values, heights)`` filters the
-    candidates exactly: values come from :func:`_values_for_band`, the naive
-    oracle's own expression.  Raises :class:`BudgetExceededError` when the
-    candidates would not fit the enumeration budget.
+    The tails are the rows of ``tails`` (heights ``tail_heights``) and the
+    zero tail, added here with q_1 >= 1.  ``bound`` is a scalar or one bound
+    per tail, zero tail first; per tail the open interval of q_1 with
+    |qX|_inf < bound is solved and padded by 1 against rounding, so every q
+    through the tail with |qX|_inf < bound is a candidate.  ``keep(values,
+    heights)`` filters the candidates exactly, valued from the tail's
+    columns and q_1 by :func:`form_columns`; only those that pass are built
+    as vectors.  Raises :class:`BudgetExceededError` when the candidates
+    would not fit the enumeration budget.
     """
     m = X.m
     tails = np.vstack([np.zeros((1, m - 1), dtype=np.int64), tails])
     bound = np.broadcast_to(np.asarray(bound, dtype=float), (len(tails),))[:, None]
-    p = tails.astype(float) @ X.entries[1:]
-    k_lo, k_hi = _k_range(*_interval_bounds(p, X.entries[0], bound), cap)
-    k_lo = np.maximum(k_lo - 1, -cap)
-    k_hi = np.minimum(k_hi + 1, cap)
+    lead = X.entries[:1]
+    p = form_columns(tails, X.entries[1:])
+    k_lo, k_hi = _k_range(*_interval_bounds(p, lead[0], bound), cap)
     k_lo[0] = 1
     counts = np.maximum(k_hi - k_lo + 1, 0)
     total = int(counts.sum())
@@ -318,55 +315,35 @@ def _tail_candidates(X: MatrixPoint, tails, bound, cap, keep):
         raise BudgetExceededError(
             f"{total:.2e} candidate vectors up to height {cap} in dimension {m}, over budget"
         )
-    starts = np.repeat(k_lo - (np.cumsum(counts) - counts), counts)
-    q1 = starts + np.arange(total, dtype=np.int64)
-    vecs = np.column_stack([q1, np.repeat(tails, counts, axis=0)])
-    vecs[q1 < 0] *= -1  # the canonical representative of the pair
-    heights = np.max(np.abs(vecs), axis=1)
-    mask = keep(_values_for_band(X, vecs), heights)
-    vecs, heights = vecs[mask], heights[mask]
+    tail_of = np.repeat(np.arange(len(tails)), counts)
+    q1 = np.repeat(k_lo - (np.cumsum(counts) - counts), counts) + np.arange(total, dtype=np.int64)
+    values = np.max(np.abs(form_columns(q1[:, None], lead, p[tail_of])), axis=1)
+    heights = np.maximum(np.abs(q1), np.concatenate(([0], tail_heights))[tail_of])
+    mask = keep(values, heights)
+    q1, tail_of, heights = q1[mask], tail_of[mask], heights[mask]
+    vecs = np.column_stack([q1, tails[tail_of]])
+    vecs[q1 < 0] *= -1  # the canonical representative of the pair: same value
     return vecs[np.lexsort((*vecs.T[::-1], heights))]
 
 
 def _dirichlet_first(X: MatrixPoint, height_cap, bound):
-    """First (height, lex) canonical q with |q| <= cap and |qX|_inf < bound.
-
-    The tails of the height ball are scanned in the dyadic blocks of
-    :func:`_height_blocks`: per tail, the admissible q_1 nearest zero (with
-    +-1 padding, verified against the strict inequality) give the least
-    height through it, and h_star is the least of these and of e_1.  The scan
-    stops before the first block whose tails are all taller than h_star;
-    the candidates of the tails reaching h_star, and of the zero tail, pick
-    the hit.  Returns None when no vector qualifies.
-    """
+    """First (height, lex) canonical q with |q| <= cap and |qX|_inf < bound,
+    or None.  The tail blocks of :func:`_height_blocks` go through
+    :func:`_tail_candidates`, each cut at the least hit height so far, until
+    a block starts above it."""
     tails, tail_heights = _ball(X.m - 1, height_cap)
-    lead, rest = X.entries[0], X.entries[1:]
-    sentinel = np.iinfo(np.int64).max
-    h_star = 1 if np.all(np.abs(lead) < bound) else sentinel   # e_1
-    reaching = []
+    first, cap = None, height_cap
     for lo, hi in _height_blocks(1, height_cap):
-        if lo > h_star:
+        if lo > cap:
             break  # every q through later tails is strictly taller
-        block = slice(*np.searchsorted(tail_heights, [lo, hi + 1]))
-        p = tails[block].astype(float) @ rest  # (k, n)
-        k_lo, k_hi = _k_range(*_interval_bounds(p, lead, bound), height_cap)
-        minabs = np.where(k_lo > 0, k_lo, np.where(k_hi < 0, k_hi, 0))
-        best = np.full(len(minabs), sentinel, dtype=np.int64)
-        for shift in (-1, 0, 1):
-            cand = np.clip(minabs + shift, -height_cap, height_cap)
-            vals = np.abs(cand * lead[0] + p[:, 0])
-            for j in range(1, X.n):
-                np.maximum(vals, np.abs(cand * lead[j] + p[:, j]), out=vals)
-            heights = np.maximum(np.abs(cand), tail_heights[block])
-            np.minimum(best, np.where(vals < bound, heights, sentinel), out=best)
-        least = int(best.min(initial=sentinel))
-        if least < h_star:
-            h_star, reaching = least, []
-        if least == h_star < sentinel:
-            reaching.append(tails[block][best == h_star])
-    vecs = _tail_candidates(X, np.concatenate([tails[:0], *reaching]), bound,
-                            min(h_star, height_cap), lambda v, h: v < bound)
-    return tuple(int(v) for v in vecs[0]) if len(vecs) else None
+        block = slice(*np.searchsorted(tail_heights, [lo, min(hi, cap) + 1]))
+        vecs = _tail_candidates(X, tails[block], tail_heights[block], bound, cap, lambda v, h: v < bound)
+        if len(vecs):
+            q = tuple(int(v) for v in vecs[0])
+            key = (max(abs(v) for v in q), q)
+            if first is None or key < first:
+                first, cap = key, key[0]
+    return None if first is None else first[1]
 
 
 def dirichlet_witness(X: MatrixPoint, t) -> Witness:

@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 from pathlib import Path
@@ -19,6 +20,8 @@ from smallforms import (
     min_form,
     witnesses,
 )
+from smallforms.cli import main
+from smallforms.forms import form_columns, form_value
 from smallforms.search import _ball, _canonical_box, band_vectors
 
 
@@ -240,6 +243,72 @@ class TestDirichlet:
                 assert w.value < dirichlet_bound(m, n, t)
 
 
+def near_tie_points(rng, m, t, target, count):
+    """Points (m x 1) where a random q of height <= 2^t has q.x = +-target(q)
+    up to rounding, x_1 solved for it, then moved by -3..3 ulps."""
+    points, cap = [], 2 ** t
+    while len(points) < count:
+        x = rng.random(m) - 0.5
+        q = rng.integers(-cap, cap + 1, m)
+        if q[0] == 0:
+            continue
+        x1 = (rng.choice([-1.0, 1.0]) * target(q) - float(np.dot(q[1:], x[1:]))) / q[0]
+        for step in range(-3, 4):
+            y = x1
+            for _ in range(abs(step)):
+                y = np.nextafter(y, step * np.inf)
+            if abs(y) <= 0.5:
+                points.append(MatrixPoint(np.concatenate(([y], x[1:]))[:, None]))
+    return points
+
+
+def naive_values(X, vecs):
+    return np.abs(form_columns(vecs, X.entries)).max(axis=1)
+
+
+class TestNearTies:
+    """Inputs within a few ulps of a strict bound: the engines decide on the
+    float value of the one form expression, as the naive band scan does."""
+
+    REPRODUCER = (-0.06348630573830395, 0.41163551682709076, -0.43147244014295894)
+
+    def test_pigeonhole_reproducer(self, capsys):
+        # (4, 9, 8) has exact value 0.00101 < b; a kernel with its own
+        # rounding once found no hit here and reported a theorem violation
+        X, b = col(*self.REPRODUCER), dirichlet_bound(3, 1, 5)
+        w = dirichlet_witness(X, 5)
+        assert w.value == form_value(w.q, X) < b
+        vecs, _ = band_vectors(3, 1, 32)
+        assert w.q == tuple(int(v) for v in vecs[np.argmax(naive_values(X, vecs) < b)])
+        x_arg = "--X=" + ",".join(map(repr, self.REPRODUCER))
+        assert main(["dirichlet", "--m", "3", "--n", "1", x_arg, "--t", "5"]) == 0
+        assert f"q={w.q}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dirichlet_sweep(self, m):
+        rng = np.random.default_rng(70 + m)
+        for t in range(2, 6):
+            b = dirichlet_bound(m, 1, t)
+            vecs, _ = band_vectors(m, 1, 2 ** t)
+            for X in near_tie_points(rng, m, t, lambda q: b, 500):
+                w = dirichlet_witness(X, t)
+                assert w.value == form_value(w.q, X) < b
+                assert w.q == tuple(int(v) for v in vecs[np.argmax(naive_values(X, vecs) < b)])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_min_form_and_witnesses_sweep(self, m):
+        rng = np.random.default_rng(80 + m)
+        psi = ApproximatingFunction.power(0.8, m)
+        for t in range(2, 6):
+            q_max = 2 ** t
+            for X in near_tie_points(rng, m, t, lambda q: psi(float(np.abs(q).max())), 100):
+                assert min_form(X, q_max) == min_form(X, q_max, pruned=False)
+                fast = witnesses(X, psi, SearchBudget(q_max))
+                slow = witnesses(X, psi, SearchBudget(q_max, pruning=False))
+                assert [w.q for w in fast] == [w.q for w in slow]
+                assert all(w.value == form_value(w.q, X) < psi(float(w.height)) for w in fast)
+
+
 class TestHeightObstruction:
     def test_diagonal_quadratic_decay(self):
         X = MatrixPoint(np.diag([0.5, 0.5]))
@@ -362,3 +431,40 @@ def test_one_box_builder():
             assert path.name == "search.py" or name not in text, f"{path.name} uses {name}"
         if path.name == "search.py":
             assert text.count("meshgrid") == 1
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_form_columns_of_rows_and_slices(m, n):
+    # a q's value does not depend on the array it sits in, -q negates it and
+    # the tail part plus q_1 x_1 is the same expression
+    rng = np.random.default_rng(90 + 10 * m + n)
+    X = MatrixPoint(rng.random((m, n)) - 0.5)
+    vecs = rng.integers(-1000, 1001, (1500, m))
+    for part in (vecs, vecs[1::3], vecs[::-2], vecs[7:8]):
+        cols = form_columns(part, X.entries)
+        assert np.abs(cols).max(axis=1).tolist() == [form_value(q, X) for q in part]
+        assert np.array_equal(form_columns(-part, X.entries), -cols)
+        tail_part = form_columns(part[:, 1:], X.entries[1:])
+        assert np.array_equal(form_columns(part[:, :1], X.entries[:1], tail_part), cols)
+
+
+def test_one_form_expression():
+    # form_columns is the only code in forms.py and search.py that multiplies
+    # by the entries of X: no matmul, and no product with an entries-derived name
+    package = Path(smallforms.__file__).parent
+    for name in ("forms.py", "search.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        calls = {n.func.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+        assert not calls & {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}, name
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "form_columns":
+                continue
+            derived = {t.id for a in ast.walk(fn)
+                       if isinstance(a, ast.Assign) and "entries" in ast.unparse(a.value)
+                       for target in a.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            for op in ast.walk(fn):
+                if isinstance(op, ast.BinOp) and isinstance(op.op, (ast.Mult, ast.MatMult)):
+                    used = {v.id for v in ast.walk(op) if isinstance(v, ast.Name)}
+                    assert isinstance(op.op, ast.Mult), f"{name}:{op.lineno} uses @"
+                    assert "entries" not in ast.unparse(op) and not used & derived, f"{name}:{op.lineno}"
