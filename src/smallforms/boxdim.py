@@ -6,6 +6,14 @@ All box-slab intersection tests are interval arithmetic on the linear forms
 (evaluate q . x over the box's interval hull per column), so counts are
 exact and deterministic: no sampling inside boxes, no false negatives.
 
+A slab gives, per outer row (all coordinates but the last), one range of
+last-coordinate cells.  The ranges are computed only on the rows of the
+positive orthant of the outer axes, every outer index in [w/2, w): the cell
+edges are exact dyadic numbers, so negating q_i and mirroring axis i
+reproduces the hull bit for bit.  A full height band is closed under those sign flips, so the
+union count is 2^(m-1) times the orthant's, and :func:`cover_count` and the
+(2, 2) masks get the other rows from the flipped q.
+
 The estimator couples the height bound to the box side, Q(delta) with
 Psi(Q) ~ delta, and counts the dyadic height band below Q at each scale:
 the local structure of the limsup set at scale delta is produced by heights
@@ -42,6 +50,8 @@ _MAX_LEVEL = {(2, 1): 12, (3, 1): 9, (2, 2): 6}
 _MAX_Q = {(2, 1): 512, (3, 1): 64, (2, 2): 16}
 # rows of w cells painted per block, so a block's buffer stays small
 _ROW_BLOCK = 4096
+# slab-row pairs whose ranges one call computes, so its arrays stay small
+_PAIR_BLOCK = 1 << 14
 # slabs painted into a block before its fully covered rows are first dropped
 _FIRST_DROP = 256
 
@@ -110,11 +120,70 @@ def _cell_range(lo_bound, hi_bound, level):
     return j0, np.maximum(j0, j1, out=j1)   # j0 >= 0 also clips j1 below
 
 
-def _row_blocks(dim, w):
-    """First-axis cell ranges [a, b) of a (w,)*dim grid, each spanning about
-    ``_ROW_BLOCK`` rows of w cells (all coordinates but the last)."""
-    step = max(1, _ROW_BLOCK // w ** (dim - 2)) if dim > 1 else w
-    return [(a, min(a + step, w)) for a in range(0, w, step)]
+def _first_axis_blocks(start, stop, rows_per_cell):
+    """First-axis cell ranges [a, b) tiling [start, stop), each spanning about
+    ``_ROW_BLOCK`` rows when one first-axis cell holds ``rows_per_cell`` rows."""
+    step = max(1, _ROW_BLOCK // rows_per_cell)
+    return [(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def _orthant_row_blocks(m, level):
+    """The outer rows of the positive orthant, every outer index in
+    [w/2, w), in blocks of about ``_ROW_BLOCK`` rows: per block, one cell
+    index array per outer axis (last axis fastest)."""
+    half = 1 << (level - 1)
+    for a, b in _first_axis_blocks(half, 2 * half, half ** (m - 2)):
+        shape = (b - a,) + (half,) * (m - 2)
+        yield [c.ravel() + off for c, off in zip(np.indices(shape), (a,) + (half,) * (m - 2))]
+
+
+def _outer_hull(qs, rows, level):
+    """(K, R) interval hulls of q_0 x_0 + ... + q_{m-2} x_{m-2} for the K
+    vectors ``qs`` over the R outer cells given by the per-axis indices
+    ``rows``, summed from the last outer axis down.
+
+    The cell edges are exact dyadic numbers, and mirroring axis i (index
+    j -> w - 1 - j) negates them: the mirror's left edge is minus the right
+    edge.  Rounding is symmetric under negation, so a q with q_i negated has
+    on the mirrored cells the same products, hence the same hull, bit for bit.
+    """
+    delta = 2.0 ** -level
+    lo = hi = 0.0
+    for axis in range(len(rows) - 1, -1, -1):
+        left = rows[axis] * delta - 0.5
+        qi = qs[:, axis, None]
+        ends = qi * left, qi * (left + delta)
+        lo = np.minimum(*ends) + lo
+        hi = np.maximum(*ends) + hi
+    return lo, hi
+
+
+def _slab_ranges(qs, thresholds, level, rows):
+    """(K, R) last-coordinate cell ranges [j0, j1) of the slabs
+    |q.x| <= threshold of the K float vectors ``qs`` over the outer rows
+    ``rows`` (per-axis index arrays of length R)."""
+    outer_lo, outer_hi = _outer_hull(qs, rows, level)
+    thr = thresholds[:, None]
+    q_last = qs[:, -1:]
+    zero = q_last[:, 0] == 0.0
+    step = np.where(zero[:, None], 1.0, q_last)
+    lo = (-thr - outer_hi) / step
+    hi = (thr - outer_lo) / step
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    if zero.any():
+        # a slab parallel to the last axis spans the whole row or none of it:
+        # [-1, 1] contains the row's extent [-1/2, 1/2], [1, 1] misses it
+        meets = (outer_lo[zero] < thr[zero]) & (outer_hi[zero] > -thr[zero])
+        lo[zero] = np.where(meets, -1.0, 1.0)
+        hi[zero] = 1.0
+    return _cell_range(lo, hi, level)
+
+
+def _outer_flips(q):
+    """The 2^(m-1) sign patterns of q's outer coordinates, as float rows."""
+    m = len(q)
+    signs = 1 - 2 * ((np.arange(1 << (m - 1))[:, None] >> np.arange(m - 1)) & 1)
+    return np.column_stack([signs * q[:-1], np.full(len(signs), q[-1])]).astype(float)
 
 
 def cover_count(q, psi: ApproximatingFunction, delta) -> int:
@@ -124,6 +193,10 @@ def cover_count(q, psi: ApproximatingFunction, delta) -> int:
     {x : |q.x| <= Psi(|q|) |q|_2}, so the count is the m-dimensional slab
     count raised to the n-th power; n is implied as 1 here and the caller
     raises the power (see :func:`truncated_box_count` for unions).
+
+    A row outside the positive orthant of the outer axes gets the ranges of
+    its mirror row inside it under the q with those outer signs flipped, so
+    the count sums the orthant ranges of the 2^(m-1) sign patterns.
     """
     q_arr = np.asarray(q, dtype=np.int64)
     if q_arr.ndim != 1 or not np.any(q_arr):
@@ -131,22 +204,39 @@ def cover_count(q, psi: ApproximatingFunction, delta) -> int:
     spec = GridSpec.from_delta(delta, q_arr.size)
     height = int(np.max(np.abs(q_arr)))
     threshold = psi.big_psi(float(height)) * float(np.linalg.norm(q_arr.astype(float)))
+    if q_arr.size == 1:
+        half = threshold / abs(float(q_arr[0]))
+        j0, j1 = _cell_range(np.array([-half]), np.array([half]), spec.level)
+        return int(j1[0] - j0[0])
+    flips = _outer_flips(q_arr)
+    thresholds = np.full(len(flips), threshold)
     total = 0
-    for a, b in _row_blocks(q_arr.size, spec.per_axis):
-        j0, j1 = _slab_ranges_block(tuple(q_arr), threshold, spec.level, a, b)
+    for rows in _orthant_row_blocks(q_arr.size, spec.level):
+        j0, j1 = _slab_ranges(flips, thresholds, spec.level, rows)
         total += int(np.sum(j1 - j0))
     return total
 
 
-def _union_count_paint(m, level, q_rows, thresholds):
-    """Boxes covered by the union of slabs, via per-row difference painting.
+def _union_count_paint(m, level, qs, thresholds):
+    """Boxes covered by the union of slabs, via per-row difference painting
+    on the positive orthant of the outer axes.
 
-    The outer rows are painted in blocks of about ``_ROW_BLOCK`` rows into one
-    flat int32 buffer of ``w + 1`` slots per row.  A slab gives one range per
-    row, so its start and end indices are unique within the slab and plain
-    fancy ``+=``/``-=`` is exact; an empty range cancels itself.  Each row's
-    slots sum to zero, so one flat cumsum restarts at every row and its
-    nonzero entries are exactly the covered cells.
+    Precondition: the slabs are closed under flipping the sign of any outer
+    coordinate of q (up to +-q, which paints identically) with the threshold
+    unchanged, as a full height band of ``band_vectors`` is.  Every row with
+    an outer index below w/2 then has a mirror row in the orthant with the
+    same union (see :func:`_outer_hull`), so the count is 2^(m-1) times the
+    orthant's.  The last axis is not mirrored: rounding in
+    :func:`_cell_range` is not symmetric about the center.
+
+    The orthant rows are painted in blocks of about ``_ROW_BLOCK`` rows into
+    one flat int32 buffer of ``w + 1`` slots per row.  The ranges of a chunk
+    of slabs, at most ``_PAIR_BLOCK`` slab-row pairs, come from one call of
+    :func:`_slab_ranges` and are painted by one unbuffered ``np.add.at`` and
+    one ``np.subtract.at``, which count an index as often as it repeats
+    (slabs of one chunk may share a start); an empty range cancels itself.
+    Each row's slots sum to zero, so one flat cumsum restarts at every row
+    and its nonzero entries are exactly the covered cells.
 
     After ``_FIRST_DROP`` slabs, and again each time the slab count doubles,
     the rows already fully covered are counted and dropped from the buffer;
@@ -154,85 +244,46 @@ def _union_count_paint(m, level, q_rows, thresholds):
     """
     w = 1 << level
     total = 0
-    for a, b in _row_blocks(m, w):
-        live = None                     # indices of the rows still painted; None: all
-        base = np.arange((b - a) * w ** (m - 2), dtype=np.int64) * (w + 1)
+    for rows in _orthant_row_blocks(m, level):
+        base = np.arange(len(rows[0]), dtype=np.int64) * (w + 1)
         diff = np.zeros(len(base) * (w + 1), dtype=np.int32)
         check = _FIRST_DROP
-        for s, (q, thr) in enumerate(zip(q_rows, thresholds)):
+        s = 0
+        while s < len(qs):
             if s == check:
                 check *= 2
                 cover = np.cumsum(diff, dtype=np.int32).reshape(-1, w + 1)[:, :-1]
                 full = np.all(cover > 0, axis=1)
                 total += w * int(np.count_nonzero(full))
                 kept = np.flatnonzero(~full)
-                live = kept if live is None else live[kept]
+                rows = [r[kept] for r in rows]
                 diff = diff.reshape(-1, w + 1)[kept].ravel()
                 base = base[: len(kept)]
                 if not len(kept):
                     break
-            j0, j1 = _slab_ranges_block(q, thr, level, a, b, live)
-            diff[base + j0] += 1
-            diff[base + j1] -= 1
+            stop = min(len(qs), check, s + max(1, _PAIR_BLOCK // len(base)))
+            j0, j1 = _slab_ranges(qs[s:stop], thresholds[s:stop], level, rows)
+            ones = np.ones(j0.size, dtype=np.int32)
+            np.add.at(diff, (j0 + base).ravel(), ones)
+            np.subtract.at(diff, (j1 + base).ravel(), ones)
+            s = stop
         total += int(np.count_nonzero(np.cumsum(diff, dtype=np.int32)))
-    return total
+    return total << (m - 1)
 
 
-def _outer_hull(q, level, a, b):
-    """Interval hull of q_0 x_0 + ... + q_{m-2} x_{m-2} over the outer cells
-    whose first index lies in [a, b), one entry per row (last axis fastest).
-
-    The per-axis cell contributions are broadcast together, summed from the
-    last outer axis down, so every row gets the same float sum as a
-    coordinate-by-coordinate loop.
-    """
-    left = _axis_edges(level)
-    right = left + 2.0 ** -level
-    lo = hi = None
-    for axis in range(len(q) - 2, -1, -1):
-        qi = float(q[axis])
-        lo_c, hi_c = (qi * left, qi * right) if qi >= 0 else (qi * right, qi * left)
-        if axis == 0:
-            lo_c, hi_c = lo_c[a:b], hi_c[a:b]
-        if lo is None:
-            lo, hi = lo_c, hi_c
-        else:
-            lo = (lo_c[:, None] + lo[None, :]).ravel()
-            hi = (hi_c[:, None] + hi[None, :]).ravel()
-    return lo, hi
-
-
-def _slab_ranges_block(q, threshold, level, a, b, rows=None):
-    """Per-row admissible last-coordinate ranges [j0, j1) of the slab
-    |q.x| <= threshold, over the outer rows whose first cell index lies in
-    [a, b); ``rows``, when given, selects some of those rows by index.
-
-    ``m = 1`` has no outer rows; the single "row" carries the whole interval.
-    """
+def _column_masks(qs, thresholds, level):
+    """Boolean (K, w, w) masks of the 2-dim cells meeting the slabs
+    |q.x| <= thr; the rows below w/2 are the mirrored orthant rows of the
+    q with its first coordinate negated."""
     w = 1 << level
-    q_last = float(q[-1])
-    if len(q) == 1:
-        half = threshold / abs(q_last)
-        return _cell_range(np.array([-half]), np.array([half]), level)
-    outer_lo, outer_hi = _outer_hull(q, level, a, b)
-    if rows is not None:
-        outer_lo, outer_hi = outer_lo[rows], outer_hi[rows]
-    if q_last == 0.0:
-        meets = (outer_lo < threshold) & (outer_hi > -threshold)
-        j0 = np.zeros(len(outer_lo), dtype=np.int64)
-        j1 = np.where(meets, w, 0).astype(np.int64)
-        return j0, j1
-    lo = (-threshold - outer_hi) / q_last
-    hi = (threshold - outer_lo) / q_last
-    return _cell_range(np.minimum(lo, hi), np.maximum(lo, hi), level)
-
-
-def _column_mask_2d(q, threshold, level):
-    """Boolean (w, w) mask of 2-dim cells meeting the slab |q.x| <= thr."""
-    w = 1 << level
-    j0, j1 = _slab_ranges_block(q, threshold, level, 0, w)
+    k = len(qs)
+    both = np.concatenate([qs, qs * np.array([-1.0, 1.0])])
+    j0, j1 = _slab_ranges(both, np.concatenate([thresholds, thresholds]), level,
+                          [np.arange(w // 2, w)])
+    j0 = np.concatenate([j0[k:, ::-1], j0[:k]], axis=1)
+    j1 = np.concatenate([j1[k:, ::-1], j1[:k]], axis=1)
     cols = np.arange(w)
-    return (cols[None, :] >= j0[:, None]) & (cols[None, :] < j1[:, None])
+    return (cols >= j0[:, :, None]) & (cols < j1[:, :, None])
 
 
 def _gamma_window(level):
@@ -278,7 +329,7 @@ def _product_union_count(masks, level, gamma_window):
     flat = np.array(masks, dtype=np.float32).reshape(len(masks), w * w)
     window = _gamma_window(level) if gamma_window else None
     total = 0
-    for a, b in _row_blocks(4, w):
+    for a, b in _first_axis_blocks(0, w, w * w):
         union = (flat[:, a * w:b * w].T @ flat).reshape(b - a, w, w, w) > 0
         if window is None:
             total += int(np.count_nonzero(union))
@@ -320,14 +371,14 @@ def truncated_box_count(m, n, tau, q_max, delta, h_min=1, gamma_window=None,
     vecs, heights = band_vectors(m, h_min, q_max)
     norms = np.linalg.norm(vecs.astype(float), axis=1)
     thresholds = psi.big_psi(heights.astype(float)) * norms
-    q_rows = [tuple(int(v) for v in row) for row in vecs]
+    qs = vecs.astype(float)
 
     if n == 1:
-        return _union_count_paint(m, spec.level, q_rows, thresholds)
+        return _union_count_paint(m, spec.level, qs, thresholds)
 
     # (2, 2): per-column product of identical 2-dim slabs
-    masks = [_column_mask_2d(q, thr, spec.level) for q, thr in zip(q_rows, thresholds)]
-    return _product_union_count(masks, spec.level, gamma_window)
+    return _product_union_count(_column_masks(qs, thresholds, spec.level),
+                                spec.level, gamma_window)
 
 
 def coupled_schedule(m, n, tau, levels, band_ratio=1.2):

@@ -16,7 +16,7 @@ from smallforms import (
     truncated_box_count,
 )
 from smallforms import boxdim
-from smallforms.boxdim import _gamma_window, coupled_schedule
+from smallforms.boxdim import _cell_range, _gamma_window, coupled_schedule
 from smallforms.search import band_vectors
 
 
@@ -63,6 +63,73 @@ def dense_union_count(q_list, thresholds, level, m):
     for mask in dense_slab_masks(q_list, thresholds, level, m):
         covered |= mask
     return int(covered.sum())
+
+
+def full_row_union_count(m, level, q_rows, thresholds, row_block=4096, first_drop=256):
+    """Every-row union count of the slabs |q.x| <= thr: the painter that
+    preceded the orthant cut, kept as the oracle of ``truncated_box_count``.
+
+    Each slab gives one last-coordinate range [j0, j1) per outer row (all
+    coordinates but the last), painted into a flat int32 difference buffer
+    per block of about ``row_block`` rows; fully covered rows drop out after
+    ``first_drop`` slabs and at each doubling of the slab count.
+    """
+    w = 1 << level
+    step = max(1, row_block // w ** (m - 2))
+    total = 0
+    for a in range(0, w, step):
+        b = min(a + step, w)
+        live = None
+        base = np.arange((b - a) * w ** (m - 2), dtype=np.int64) * (w + 1)
+        diff = np.zeros(len(base) * (w + 1), dtype=np.int32)
+        check = first_drop
+        for s, (q, thr) in enumerate(zip(q_rows, thresholds)):
+            if s == check:
+                check *= 2
+                cover = np.cumsum(diff, dtype=np.int32).reshape(-1, w + 1)[:, :-1]
+                full = np.all(cover > 0, axis=1)
+                total += w * int(np.count_nonzero(full))
+                kept = np.flatnonzero(~full)
+                live = kept if live is None else live[kept]
+                diff = diff.reshape(-1, w + 1)[kept].ravel()
+                base = base[: len(kept)]
+                if not len(kept):
+                    break
+            j0, j1 = full_row_ranges(q, thr, level, a, b, live)
+            diff[base + j0] += 1
+            diff[base + j1] -= 1
+        total += int(np.count_nonzero(np.cumsum(diff, dtype=np.int32)))
+    return total
+
+
+def full_row_ranges(q, threshold, level, a, b, rows=None):
+    """Last-coordinate ranges [j0, j1) of the slab |q.x| <= threshold over
+    every outer row whose first cell index lies in [a, b), or the ``rows``
+    of them; the outer hull is the broadcast sum of per-axis cell
+    contributions, summed from the last outer axis down."""
+    w = 1 << level
+    left = np.arange(w) * (2.0 ** -level) - 0.5
+    right = left + 2.0 ** -level
+    lo = hi = None
+    for axis in range(len(q) - 2, -1, -1):
+        qi = float(q[axis])
+        lo_c, hi_c = (qi * left, qi * right) if qi >= 0 else (qi * right, qi * left)
+        if axis == 0:
+            lo_c, hi_c = lo_c[a:b], hi_c[a:b]
+        if lo is None:
+            lo, hi = lo_c, hi_c
+        else:
+            lo = (lo_c[:, None] + lo[None, :]).ravel()
+            hi = (hi_c[:, None] + hi[None, :]).ravel()
+    if rows is not None:
+        lo, hi = lo[rows], hi[rows]
+    q_last = float(q[-1])
+    if q_last == 0.0:
+        meets = (lo < threshold) & (hi > -threshold)
+        return np.zeros(len(lo), dtype=np.int64), np.where(meets, w, 0).astype(np.int64)
+    lo_j = (-threshold - hi) / q_last
+    hi_j = (threshold - lo) / q_last
+    return _cell_range(np.minimum(lo_j, hi_j), np.maximum(lo_j, hi_j), level)
 
 
 def dense_gamma_mask(level):
@@ -194,21 +261,78 @@ class TestUnionEngine:
         # paint on grids the dense rasterizer affords
         monkeypatch.setattr(boxdim, "_ROW_BLOCK", 64)
         monkeypatch.setattr(boxdim, "_FIRST_DROP", 4)
-        painted = []
-        ranges = boxdim._slab_ranges_block
+        monkeypatch.setattr(boxdim, "_PAIR_BLOCK", 256)
+        painted, chunks = [], []
+        ranges = boxdim._slab_ranges
 
-        def spy(q, threshold, level, a, b, rows=None):
-            j0, j1 = ranges(q, threshold, level, a, b, rows)
-            painted.append(len(j0))
+        def spy(qs, thresholds, level, rows):
+            j0, j1 = ranges(qs, thresholds, level, rows)
+            chunks.append(j0.shape[0])
+            painted.append(j0.shape[1])
             return j0, j1
 
-        monkeypatch.setattr(boxdim, "_slab_ranges_block", spy)
+        monkeypatch.setattr(boxdim, "_slab_ranges", spy)
         psi = ApproximatingFunction.power(c, tau)
         qs, thr = band_slabs(psi, m, h_min, q_max)
         expected = dense_union_count(qs, thr, level, m)
         got = truncated_box_count(m, 1, tau, q_max, 2.0 ** -level, h_min=h_min, psi=psi)
         assert got == expected
         assert min(painted) < 64 <= max(painted)   # some rows were dropped
+        assert max(chunks) > 1                     # one call ranged several slabs
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_orthant_count_matches_full_row_oracle(self, m):
+        # random bands at every level 1..8 (level 1 has one orthant cell per
+        # axis), a third of them from height 1 so that q with a zero last
+        # coordinate are painted, and a non-power psi for another third; the
+        # widths scale with the cells, yet every slab crosses the coarse grids,
+        # so only the finer levels leave the union partial
+        rng = np.random.default_rng(15 + m)
+        cap = {2: 24, 3: 4}[m]
+        partial = 0
+        for level in range(1, 9):
+            for k in range(3):
+                q_max = int(rng.integers(1, cap + 1))
+                h_min = 1 if k == 0 else int(rng.integers(1, q_max + 1))
+                tau = float(rng.uniform(0.5, 3.0))
+                c = float(rng.uniform(0.02, 0.5)) * 2.0 ** -level * h_min ** tau
+                psi = (ApproximatingFunction.power_log(c, tau, 2.0) if k == 2
+                       else ApproximatingFunction.power(c, tau))
+                qs, thr = band_slabs(psi, m, h_min, q_max)
+                expected = full_row_union_count(m, level, qs, thr)
+                got = truncated_box_count(m, 1, tau, q_max, 2.0 ** -level, h_min=h_min, psi=psi)
+                assert got == expected, (level, h_min, q_max, psi)
+                partial += 0 < got < (1 << level) ** m
+        assert partial >= 8
+        assert any(q[-1] == 0 for q in band_slabs(psi, m, 1, 1)[0])
+
+    def test_column_masks_match_dense_rasterizer(self):
+        psi = ApproximatingFunction.power_log(0.2, 2.0, 1.0)
+        qs, thr = band_slabs(psi, 2, 1, 5)
+        for level in range(1, 7):
+            masks = boxdim._column_masks(np.array(qs, dtype=float), thr, level)
+            assert np.array_equal(masks, np.stack(list(dense_slab_masks(qs, thr, level, 2))))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_outer_flip_mirrors_the_hull(self, m):
+        # negating outer coordinate i and mirroring the cells along axis i
+        # (j -> w - 1 - j) gives the same hull bit for bit: the precondition
+        # of the orthant count
+        rng = np.random.default_rng(m)
+        for level in (1, 3, 5):
+            w = 1 << level
+            rows = [r.ravel() for r in np.indices((w,) * (m - 1))]
+            qs = rng.integers(-64, 65, size=(20, m)).astype(float)
+            qs[::4, 1 % (m - 1)] = 0.0
+            lo, hi = boxdim._outer_hull(qs, rows, level)
+            for axis in range(m - 1):
+                flipped = qs.copy()
+                flipped[:, axis] *= -1
+                mirrored = list(rows)
+                mirrored[axis] = w - 1 - rows[axis]
+                f_lo, f_hi = boxdim._outer_hull(flipped, mirrored, level)
+                assert np.array_equal(f_lo.view(np.int64), lo.view(np.int64))
+                assert np.array_equal(f_hi.view(np.int64), hi.view(np.int64))
 
     @pytest.mark.parametrize("gamma_window", [True, False])
     @pytest.mark.parametrize("h_min, q_max, level", [(2, 3, 4), (2, 3, 5), (3, 3, 5)])
