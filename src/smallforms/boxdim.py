@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .functions import ApproximatingFunction
-from .search import band_vectors
+from .lattice import band_vectors
 from .series import dimension_formula
 
 __all__ = [

@@ -135,19 +135,17 @@ class Witness:
         return form_value(self.q, point) == self.value
 
 
-def form_columns(q, rows, p=None) -> np.ndarray:
-    """The columns p_j + sum_i q_i x_ij, shape (..., n), of integer q (..., k)
+def form_columns(q, rows) -> np.ndarray:
+    """The columns sum_i q_i x_ij, shape (..., n), of integer q (..., k)
     against ``rows`` (k, n), the matching rows x_i of X.
 
     The one rounding of q.X in the package: per column the products
-    float(q_i) x_ij are added, onto p when given, from the last coordinate
-    down to the first, elementwise and without BLAS.  So a q's columns do not
-    depend on the array it sits in, -q negates them exactly, and with p the
-    columns of the tail (q_2, ..., q_m) against X[1:], (q_1, tail) has the
-    columns ``form_columns(q_1, X[:1], p)``.
+    float(q_i) x_ij are added from the last coordinate down to the first,
+    elementwise and without BLAS.  So a q's columns do not depend on the
+    array it sits in, and -q negates them exactly.
     """
     q = np.asarray(q)
-    acc = np.zeros(q.shape[:-1] + rows.shape[1:]) if p is None else p
+    acc = np.zeros(q.shape[:-1] + rows.shape[1:])
     for i in reversed(range(q.shape[-1])):
         acc = q[..., i, None] * rows[i] + acc   # int64 to float is exact below 2^53
     return acc

@@ -10,24 +10,18 @@ test its own batch, so at most ``threads`` batches are alive at once, and sums
 the counts in batch order, so reports are bit-identical for a fixed master
 seed at any thread count.  Counts below 1 raise :class:`PreconditionError`.
 
-Membership in a union of neighborhoods is decided by one lattice box
-engine, ``_box_witness_mask``.  A question is a list of height blocks
-(lo, hi, b) and an exact filter: is there a nonzero q with |q|_inf <= hi and
-|qX|_inf < b that the filter accepts?  That is a lattice point of
-{(q/hi, qX/b)} in the unit cube, found for a whole stack of samples by LLL
-reduction (Lenstra, Lenstra & Lovász 1982) and enumeration within the
-dual-norm bounds of Fincke & Pohst (1985), so its cost does not grow with
-the height.  The blocks are walked in ascending order and a sample leaves
-once it hits.  psi (the tail dichotomies): dyadic blocks, b the largest
-threshold on the block, filter |qX|_inf < scale psi(|q|) with N <= |q|.
-rho (ubiquity): dyadic blocks, b = rho sqrt(m) hi rounded up, filter
-|qX|_inf <= rho |q|_2.  Excess height: one block, b the pigeonhole bound.
-Where a computed bound on the rounding of the reduced bases (of order
-m eps hi max|x| / b) exceeds ``_ROUNDING_LIMIT`` the engine raises
-:class:`BudgetExceededError` instead of answering: with omega(t) = t, from
-t = 27 at (2, 1), t = 18 at (3, 1) and t = 13 at (4, 1).  The band scan
-over :func:`smallforms.search.band_vectors` is the oracle the engine is
-cross-validated against in the test suite, and the path of delta-t.
+Membership in a union of neighborhoods is decided for a stack of samples by
+the lattice engine of :mod:`smallforms.lattice` in ``_box_witness_mask``: is
+there a q with |q|_inf <= hi and |qX|_inf < b in some height block (lo, hi, b)
+that an exact filter accepts?  A sample leaves once it hits.  psi (the tail
+dichotomies): dyadic blocks, b the largest threshold on the block, filter
+|qX|_inf < scale psi(|q|) with N <= |q|.  rho (ubiquity): dyadic blocks,
+b = rho sqrt(m) hi rounded up, filter |qX|_inf <= rho |q|_2.  Excess height:
+one block, b the pigeonhole bound.  Where the engine's rounding bound (of
+order m eps hi max|x| / b) exceeds 1/4 it raises :class:`BudgetExceededError`:
+with omega(t) = t, from t = 27 at (2, 1), t = 18 at (3, 1) and t = 13 at
+(4, 1).  The band scan is the engine's oracle in the tests, and the path of
+delta-t.
 """
 
 from __future__ import annotations
@@ -36,14 +30,15 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import DISTANCE_CONVENTION
 from .functions import ApproximatingFunction
-from .search import _canonical_box, _float_power_of_two, _height_blocks, band_vectors, dirichlet_bound
+from .lattice import _box_basis, _coefficient_bounds, _coefficient_box, _height_blocks, _lll_transform
+from .lattice import _rounding_prior, band_vectors
+from .search import _float_power_of_two, dirichlet_bound
 
 __all__ = [
     "ExperimentReport",
@@ -61,9 +56,6 @@ __all__ = [
 _BATCH = 4096
 _CELL_BUDGET = 1 << 21          # target elementwise cells per vector pass
 _SCAN_BUDGET = 60_000_000_000   # q-cells * samples guard for the direct scan
-_LLL_DELTA = 0.99               # Lovász constant of the box engine's reduction
-_LLL_PASSES = 10_000            # pass cap of the reduction, against cycling under rounding
-_ROUNDING_LIMIT = 0.25          # largest rounding bound the box engine answers under
 _DIRECT_BOX = 200               # canonical points of a height box tested without reduction
 
 
@@ -295,60 +287,6 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
     return out
 
 
-def _gram_schmidt(b):
-    """Gram-Schmidt coefficients mu (unit diagonal) and squared norms |b_i*|^2
-    of the rows of every basis in the stack ``b`` (S, m, d)."""
-    S, m, _ = b.shape
-    mu = np.zeros((S, m, m))
-    star = np.empty_like(b)
-    norms = np.empty((S, m))
-    for i in range(m):
-        v = b[:, i].copy()
-        for j in range(i):  # modified Gram-Schmidt
-            mu[:, i, j] = np.einsum("sd,sd->s", v, star[:, j]) / norms[:, j]
-            v -= mu[:, i, j, None] * star[:, j]
-        star[:, i], norms[:, i], mu[:, i, i] = v, np.einsum("sd,sd->s", v, v), 1.0
-    return mu, norms
-
-
-def _lll_transform(basis, U):
-    """Unimodular int64 U (S, m, m) such that the rows of U @ basis are
-    LLL-reduced (Lovász constant ``_LLL_DELTA``), for a stack (S, m, d),
-    starting from the unimodular stack ``U`` (a warm start).
-
-    Every pass rebuilds the bases from U, size-reduces them and swaps each
-    basis's first pair that fails the Lovász condition; a basis leaves once
-    none does.  U changes only by integer row operations, so it stays exactly
-    unimodular whatever the rounding; rounding can only make the reduction
-    weaker, and ``_LLL_PASSES`` bounds the passes should it ever cycle.
-    """
-    S, m, _ = basis.shape
-    U = U.copy()
-    live = np.arange(S if m > 1 else 0)
-    for _ in range(_LLL_PASSES):
-        if live.size == 0:
-            break
-        u = U[live]
-        mu, norms = _gram_schmidt(u.astype(float) @ basis[live])
-        for i in range(1, m):
-            for j in range(i - 1, -1, -1):
-                r = np.rint(mu[:, i, j])
-                u[:, i] -= r.astype(np.int64)[:, None] * u[:, j]
-                mu[:, i, : j + 1] -= r[:, None] * mu[:, j, : j + 1]
-        sub = np.arange(1, m)
-        bad = norms[:, 1:] < (_LLL_DELTA - mu[:, sub, sub - 1] ** 2) * norms[:, :-1]
-        swap = np.nonzero(bad.any(axis=1))[0]
-        k = np.argmax(bad[swap], axis=1) + 1
-        u[swap, k - 1], u[swap, k] = u[swap, k], u[swap, k - 1].copy()
-        U[live] = u
-        live = live[swap]
-    return U
-
-
-# the coefficient boxes c of the reduced bases, one of each +-c
-_coefficient_box = lru_cache(maxsize=256)(_canonical_box)
-
-
 def _box_hits(q, xs, height_cap, bound, keep):
     """(s, K) mask of the candidates q of each sample of ``xs`` (s, m, n)
     with |q|_inf <= cap and max_j |q.x_j| < bound that ``keep`` accepts; q
@@ -365,52 +303,27 @@ def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
     ``keep`` accepts, for the samples ``xs`` (S, m, n).  The reductions
     start from the transforms ``start`` (S, m, m) and are written back.
 
-    q lies in the box iff the lattice point qB, B with rows (e_i / cap,
-    x_i / bound), lies in the unit cube of R^(m+n), hence in the ball of
-    radius r = sqrt(m + n) (1 + prior): a rounded |q.x_j| below the bound
-    may exceed it exactly by up to prior = (m + 2) eps cap max|x| / bound.
-    A box of at most ``_DIRECT_BOX`` canonical points is tested point by
-    point, with no reduction.  Otherwise q = lead e_1 seeds the mask, and
-    every other basis is LLL-reduced (Lenstra, Lenstra & Lovász 1982),
-    B' = U B with U exact.  The least multiples of height >= lead of the rows
-    of U are tested first (in a saturated block they settle most samples),
-    and for the samples they leave the lattice points of the ball are
-    c B' with |c_i| <= r |d_i|, d_i the dual basis rows (the bound of
-    Fincke & Pohst 1985), enumerated per group of equal bound tuples in
-    chunks of about ``_CELL_BUDGET`` cells.  Candidates q = c U pass through
-    the oracle's filter (:func:`_box_hits`).
-
-    Rounding can add candidates but not drop them.  B' is rebuilt from U in
-    floats, row k with an error e_k <= (m + 2) eps |(|U| |B|)_k|; then every
-    c of the ball satisfies |c_i| <= r |d_i| / (1 - rho) with
-    rho = sum_k e_k |d_k| (each |c_i| / |d_i| is at most r plus
-    sum_k e_k |d_k| times the largest of them).  The computed dual norms
-    carry a first-order relative error below
-    s = 2 (m + n + 2) eps (sum_k |b'_k| |d_k|)^2, which LLL keeps small.
-    The radius is widened by both.  When prior, the a priori size of rho,
-    or rho or s themselves exceed ``_ROUNDING_LIMIT``, the bound would not be
-    small and :class:`BudgetExceededError` is raised instead of an answer.
+    A box of at most ``_DIRECT_BOX`` canonical points is tested whole.
+    Otherwise q = lead e_1 seeds the mask, the other bases are LLL-reduced,
+    the least multiples of height >= lead of the rows of U settle most
+    samples of a saturated block, and the rest enumerate their coefficient
+    boxes per group of equal bounds, in chunks of about ``_CELL_BUDGET``
+    cells.  Candidates pass the oracle's filter (:func:`_box_hits`).
     """
-    S, m, n = xs.shape
+    S, m, _ = xs.shape
     out = np.zeros(S, dtype=bool)
     if height_cap < 1 or not bound > 0:
         return out
     if (2 * height_cap + 1) ** m <= 2 * _DIRECT_BOX:   # a small box: test all its points
         _scan_box(out, np.arange(S), xs, None, (height_cap,) * m, height_cap, bound, keep)
         return out
-    eps = np.finfo(float).eps
-    prior = (m + 2) * eps * height_cap * float(np.max(np.abs(xs), initial=0.0)) / bound
-    if prior > _ROUNDING_LIMIT:
-        raise BudgetExceededError(
-            f"rounding error of the lattice basis at height {height_cap} and bound {bound:.3g} "
-            "is not small; this box question is out of reach in double precision")
+    prior = _rounding_prior(m, height_cap, float(np.max(np.abs(xs), initial=0.0)), bound)
     out |= _box_hits(lead * np.eye(1, m, dtype=np.int64), xs, height_cap, bound, keep)[:, 0]
     live = np.nonzero(~out)[0]
     if live.size == 0:
         return out
     x = xs[live]
-    basis = np.concatenate(
-        [np.broadcast_to(np.eye(m) / height_cap, (len(live), m, m)), x / bound], axis=2)
+    basis = _box_basis(x, height_cap, bound)
     U = _lll_transform(basis, start[live])
     start[live] = U
     short = U * -(-lead // np.abs(U).max(axis=2, keepdims=True))   # least multiples of height >= lead
@@ -419,20 +332,7 @@ def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
     live, x, basis, U = live[keep_live], x[keep_live], basis[keep_live], U[keep_live]
     if live.size == 0:
         return out
-
-    reduced = U.astype(float) @ basis
-    gram = reduced @ reduced.transpose(0, 2, 1)
-    dual_norms = np.sqrt(np.diagonal(np.linalg.inv(gram), axis1=1, axis2=2))
-    row_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-    rebuild_err = (m + 2) * eps * np.linalg.norm(np.abs(U) @ np.abs(basis), axis=2)
-    rho = (rebuild_err * dual_norms).sum(axis=1)
-    slack = 2 * (m + n + 2) * eps * (row_norms * dual_norms).sum(axis=1) ** 2
-    if max(rho.max(), slack.max()) > _ROUNDING_LIMIT:
-        raise BudgetExceededError(
-            f"rounding bound {max(rho.max(), slack.max()):.3g} of the reduced lattice bases "
-            "is not small; this box question is out of reach in double precision")
-    radius = math.sqrt(m + n) * (1.0 + prior) * (1.0 + slack) / (1.0 - rho)
-    bounds = np.floor(radius[:, None] * dual_norms).astype(np.int64)
+    bounds = _coefficient_bounds(basis, U, prior)
     keys, group = np.unique(bounds, axis=0, return_inverse=True)
     for g, key in enumerate(keys):
         members = np.nonzero(group.ravel() == g)[0]
@@ -585,8 +485,6 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
     cutoff = _float_power_of_two(t) / float(omega(t))
     height_cap = math.ceil(cutoff) - 1
     bound = dirichlet_bound(m, n, t)
-    if not bound > 0:
-        raise BudgetExceededError(f"the pigeonhole bound at t={t} underflows a float")
     source = _seeded_source(samples, seed, _uniform_draw(m * n))
     start = time.perf_counter()
     hits, total = _run(

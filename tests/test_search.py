@@ -20,9 +20,10 @@ from smallforms import (
     min_form,
     witnesses,
 )
+from smallforms import lattice
 from smallforms.cli import main
 from smallforms.forms import form_columns, form_value
-from smallforms.search import _ball, _canonical_box, band_vectors
+from smallforms.lattice import _ball, _canonical_box, band_vectors
 
 
 # -- independent brute-force oracle (kept free of the package's enumeration) --
@@ -309,6 +310,109 @@ class TestNearTies:
                 assert all(w.value == form_value(w.q, X) < psi(float(w.height)) for w in fast)
 
 
+@pytest.fixture
+def lattice_only(monkeypatch):
+    """Every box question takes the lattice reduction, however small its box."""
+    monkeypatch.setattr(lattice, "_DIRECT_CELLS", 0)
+
+
+def naive_first_hit(X, h, bound):
+    vecs, _ = band_vectors(X.m, 1, h)
+    hit = naive_values(X, vecs) < bound
+    return tuple(int(v) for v in vecs[np.argmax(hit)]) if hit.any() else None
+
+
+class TestLatticeEngine:
+    """The lattice engine of the search against the naive band scan."""
+
+    # exact ties at t = 5: (8, -4, -5) has exact value b but rounds below it;
+    # (7, -4, 3) is 2^-52 below b exactly but rounds to b
+    TIES = ((-0.06348630573830395, 0.41163551682709076, -0.43147244014295894),
+            (0.4608672578127331, 0.47728106621906274, -0.4399587424376268))
+
+    @pytest.mark.usefixtures("lattice_only")
+    def test_lattice_only_equals_naive(self):
+        # no box is valued whole, so even height 1 goes through the reduction
+        rng = np.random.default_rng(29)
+        psi = ApproximatingFunction.power(1.0, 1.5)
+        points = [MatrixPoint(rng.random((m, n)) - 0.5)
+                  for m, n in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (2, 3)) for _ in range(4)]
+        for X in points + list(STRUCTURED):
+            for q_max in (1, 3, 8):
+                assert min_form(X, q_max) == min_form(X, q_max, pruned=False)
+                fast = witnesses(X, psi, SearchBudget(q_max))
+                slow = witnesses(X, psi, SearchBudget(q_max, pruning=False))
+                assert [w.q for w in fast] == [w.q for w in slow]
+            for t in (1, 2, 4):
+                assert dirichlet_witness(X, t).q == naive_first_hit(X, 2 ** t, dirichlet_bound(X.m, X.n, t))
+
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_exact_ties_agree_with_the_naive_scan(self, direct, monkeypatch):
+        # agreement with the naive scan of the one float expression, not the
+        # exact answer: both return (8, -4, -5) and (9, -5, 4)
+        if not direct:
+            monkeypatch.setattr(lattice, "_DIRECT_CELLS", 0)
+        b = dirichlet_bound(3, 1, 5)
+        for x, expected in zip(self.TIES, ((8, -4, -5), (9, -5, 4))):
+            X = col(*x)
+            w = dirichlet_witness(X, 5)
+            assert w.q == naive_first_hit(X, 32, b) == expected
+            assert w.value == form_value(w.q, X) < b
+
+    @pytest.mark.parametrize("t", [12, 14, 16])
+    def test_dirichlet_reach_at_3_1(self, t):
+        # most witnesses here lie far above any naive box.  Where one is low
+        # enough for a naive box of about 2^21 cells (a few in a hundred at
+        # t = 12) it is the naive first hit
+        rng = np.random.default_rng(110 + t)
+        b = dirichlet_bound(3, 1, t)
+        compared = 0
+        for _ in range(150 if t == 12 else 3):
+            X = MatrixPoint(rng.random((3, 1)) - 0.5)
+            w = dirichlet_witness(X, t)
+            assert w.height <= 2 ** t and w.value == form_value(w.q, X) < b
+            if (2 * w.height + 1) ** 3 <= 1 << 21:
+                vecs = numpy_canonical(3, w.height)
+                assert w.q == tuple(vecs[np.argmax(naive_values(X, vecs) < b)])
+                compared += 1
+        assert compared >= 2 or t > 12
+
+    def test_dirichlet_out_of_reach_at_3_1(self):
+        # at t = 18 a rounded value may exceed b exactly by several times b:
+        # the rounding guard refuses the question instead of answering it
+        x = (0.31, -0.27, 0.44)
+        with pytest.raises(BudgetExceededError):
+            dirichlet_witness(col(*x), 18)
+        x_arg = "--X=" + ",".join(map(repr, x))
+        assert main(["dirichlet", "--m", "3", "--n", "1", x_arg, "--t", "18"]) == 3
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (3, 2), (4, 1)])
+def test_two_reductions_give_the_same_candidates(m, n):
+    # the stacked and the single-basis reduction round differently and may
+    # end in different U, but the enumeration is complete either way: the
+    # box filter leaves one set
+    rng = np.random.default_rng(120 + 10 * m + n)
+    eye = np.eye(m, dtype=np.int64)
+    for t in (3, 5, 7):
+        H, b = 2 ** t, dirichlet_bound(m, n, t)
+        for _ in range(15):
+            X = MatrixPoint(rng.random((m, n)) - 0.5)
+            basis = lattice._box_basis(X.entries, H, b)
+            prior = lattice._rounding_prior(m, H, float(np.abs(X.entries).max()), b)
+            stacked = lattice._lll_transform(basis[None], eye[None])[0]
+            single = lattice._lll_one(basis, eye)
+            sets = []
+            for U in (stacked, single):
+                assert round(abs(np.linalg.det(U.astype(float)))) == 1
+                key = lattice._coefficient_bounds(basis[None], U[None], prior)[0]
+                q = lattice._coefficient_box(tuple(key.tolist())) @ U
+                q = np.where(lattice._canonical_rows(q)[:, None], q, -q)
+                keep = (np.abs(q).max(axis=1) <= H) & (naive_values(X, q) < b)
+                sets.append(set(map(tuple, q[keep].tolist())))
+            assert sets[0] == sets[1] and sets[0]
+
+
 class TestHeightObstruction:
     def test_diagonal_quadratic_decay(self):
         X = MatrixPoint(np.diag([0.5, 0.5]))
@@ -424,19 +528,18 @@ class TestEnumeration:
 
 
 def test_one_box_builder():
-    # the enumeration lives in search.py; every other module asks it
+    # the enumeration lives in lattice.py; every other module asks it
     for path in sorted(Path(smallforms.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         for name in ("meshgrid", "_canonical_rows", "_BOX_CELL_CAP"):
-            assert path.name == "search.py" or name not in text, f"{path.name} uses {name}"
-        if path.name == "search.py":
+            assert path.name == "lattice.py" or name not in text, f"{path.name} uses {name}"
+        if path.name == "lattice.py":
             assert text.count("meshgrid") == 1
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_form_columns_of_rows_and_slices(m, n):
-    # a q's value does not depend on the array it sits in, -q negates it and
-    # the tail part plus q_1 x_1 is the same expression
+    # a q's value does not depend on the array it sits in, and -q negates it
     rng = np.random.default_rng(90 + 10 * m + n)
     X = MatrixPoint(rng.random((m, n)) - 0.5)
     vecs = rng.integers(-1000, 1001, (1500, m))
@@ -444,8 +547,6 @@ def test_form_columns_of_rows_and_slices(m, n):
         cols = form_columns(part, X.entries)
         assert np.abs(cols).max(axis=1).tolist() == [form_value(q, X) for q in part]
         assert np.array_equal(form_columns(-part, X.entries), -cols)
-        tail_part = form_columns(part[:, 1:], X.entries[1:])
-        assert np.array_equal(form_columns(part[:, :1], X.entries[:1], tail_part), cols)
 
 
 def test_one_form_expression():
