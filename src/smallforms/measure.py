@@ -36,8 +36,8 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError
 from .forms import DISTANCE_CONVENTION
 from .functions import ApproximatingFunction
-from .lattice import _box_basis, _coefficient_bounds, _coefficient_box, _height_blocks, _lll_transform
-from .lattice import _rounding_prior, band_vectors
+from .lattice import _box_basis, _coefficient_bounds, _coefficient_box, _direct_box, _height_blocks
+from .lattice import _lll_transform, _rounding_prior, band_vectors
 from .search import _float_power_of_two, dirichlet_bound
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
 _BATCH = 4096
 _CELL_BUDGET = 1 << 21          # target elementwise cells per vector pass
 _SCAN_BUDGET = 60_000_000_000   # q-cells * samples guard for the direct scan
-_DIRECT_BOX = 200               # canonical points of a height box tested without reduction
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
     ``keep`` accepts, for the samples ``xs`` (S, m, n).  The reductions
     start from the transforms ``start`` (S, m, m) and are written back.
 
-    A box of at most ``_DIRECT_BOX`` canonical points is tested whole.
+    A small box (:func:`~smallforms.lattice._direct_box`) is tested whole.
     Otherwise q = lead e_1 seeds the mask, the other bases are LLL-reduced,
     the least multiples of height >= lead of the rows of U settle most
     samples of a saturated block, and the rest enumerate their coefficient
@@ -314,7 +313,7 @@ def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
     out = np.zeros(S, dtype=bool)
     if height_cap < 1 or not bound > 0:
         return out
-    if (2 * height_cap + 1) ** m <= 2 * _DIRECT_BOX:   # a small box: test all its points
+    if _direct_box(xs, height_cap):   # a small box: test all its points
         _scan_box(out, np.arange(S), xs, None, (height_cap,) * m, height_cap, bound, keep)
         return out
     prior = _rounding_prior(m, height_cap, float(np.max(np.abs(xs), initial=0.0)), bound)

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError, SingularMatrixError, TheoremViolationError
+from .errors import (
+    BudgetExceededError,
+    PreconditionError,
+    SingularMatrixError,
+    TheoremViolationError,
+)
 from .forms import MatrixPoint, Witness, form_columns
 from .functions import ApproximatingFunction
-from .lattice import _box_basis, _box_candidates, _direct_box, _height_blocks, _lll_one, _rounding_prior
-from .lattice import band_vectors
+from .lattice import _bound_floor, _box_basis, _box_candidates, _direct_box, _height_blocks
+from .lattice import _lll_one, _rounding_prior, band_vectors
 
 __all__ = [
     "SearchBudget",
@@ -96,7 +101,7 @@ def _min_form_box(X: MatrixPoint, q_max):
     to ask.  A small box is the band itself."""
     if _direct_box(X.entries, q_max):
         return _band(X, q_max)
-    pigeonhole = X.m * float(q_max) ** (1.0 - X.m / X.n)
+    pigeonhole = _pigeonhole_bound(X.m, X.n, q_max)
     _rounding_prior(X.m, q_max, float(np.max(np.abs(X.entries))), pigeonhole)   # refused before its basis can overflow
     U = _lll_one(_box_basis(X.entries, q_max, pigeonhole), np.eye(X.m, dtype=np.int64))
     rows = np.vstack([np.eye(1, X.m, dtype=np.int64), U[np.abs(U).max(axis=1) <= q_max]])
@@ -126,8 +131,10 @@ def witnesses(X: MatrixPoint, psi: ApproximatingFunction, budget: SearchBudget) 
 
     Output is sorted by height then lexicographically; ``truncated`` reports
     whether the optional cap cut the list short.  The lattice engine asks
-    each dyadic height block [lo, hi] at the bound psi(lo), so it needs a
-    non-increasing psi and raises :class:`PreconditionError` otherwise.
+    each dyadic height block [lo, hi] at the bound psi(lo), or at the floor
+    its rounding guards accept at hi where that is larger (a larger box still
+    holds every witness), so it needs a non-increasing psi and raises
+    :class:`PreconditionError` otherwise.
     """
     if budget.pruning and not psi.non_increasing:
         raise PreconditionError("the pruned witness search needs a non-increasing psi")
@@ -135,10 +142,10 @@ def witnesses(X: MatrixPoint, psi: ApproximatingFunction, budget: SearchBudget) 
         parts = [(*_band(X, budget.q_max), 1)]
     else:
         blocks = _height_blocks(1, budget.q_max)[::-1]   # the top box first: one over budget fails at once
-        parts, U = [], np.eye(X.m, dtype=np.int64)
+        parts, U, x_max = [], np.eye(X.m, dtype=np.int64), float(np.max(np.abs(X.entries)))
         for (lo, hi), bound in zip(blocks, psi(np.array([lo for lo, _ in blocks], dtype=float))):
             if bound > 0:
-                q, heights, values, U = _box(X, hi, bound, U)
+                q, heights, values, U = _box(X, hi, max(bound, _bound_floor(X.m, hi, x_max)), U)
                 parts.insert(0, (q, heights, values, lo))
     found = [_witness(q, heights, values, i) for q, heights, values, lo in parts
              for i in np.nonzero((heights >= lo) & (values < psi(heights.astype(float))))[0]]
@@ -149,9 +156,15 @@ def witnesses(X: MatrixPoint, psi: ApproximatingFunction, budget: SearchBudget) 
 def dirichlet_bound(m, n, t) -> float:
     """The pigeonhole bound m * (2^t)^(1 - m/n) on the minimal form value;
     :class:`BudgetExceededError` where 2^t overflows or the bound underflows."""
-    bound = m * _float_power_of_two(t) ** (1.0 - m / n)
+    return _pigeonhole_bound(m, n, _float_power_of_two(t))
+
+
+def _pigeonhole_bound(m, n, height) -> float:
+    """m height^(1 - m/n), which some q with 0 < |q|_inf <= height beats;
+    :class:`BudgetExceededError` where it underflows a float."""
+    bound = m * float(height) ** (1.0 - m / n)
     if not bound > 0:
-        raise BudgetExceededError(f"the pigeonhole bound at t={t} underflows a float")
+        raise BudgetExceededError(f"the pigeonhole bound at height {height:g} underflows a float")
     return bound
 
 
@@ -170,15 +183,17 @@ def dirichlet_witness(X: MatrixPoint, t) -> Witness:
     :class:`TheoremViolationError` and is treated as a bug.  The returned
     witness is the first hit in height-then-lex canonical order, from the
     first dyadic block with a hit.  Raises :class:`BudgetExceededError` where
-    the engine's rounding bound at height 2^t is not small.
+    the walk reaches a block that is reduced rather than valued whole and the
+    engine's rounding bound at height 2^t is not small.
     """
     if t < 1:
         raise PreconditionError("t must be >= 1")
     height_cap = 2 ** int(t)
     bound = dirichlet_bound(X.m, X.n, t)
-    _rounding_prior(X.m, height_cap, float(np.max(np.abs(X.entries))), bound)   # wherever the hit lies
-    U = np.eye(X.m, dtype=np.int64)
+    U, x_max = np.eye(X.m, dtype=np.int64), float(np.max(np.abs(X.entries)))
     for _, hi in _height_blocks(1, height_cap):
+        if not _direct_box(X.entries, hi):
+            _rounding_prior(X.m, height_cap, x_max, bound)   # wherever a reduced walk's hit lies
         q, heights, values, U = _box(X, hi, bound, U)
         if len(q):
             w = _witness(q, heights, values)

@@ -15,7 +15,7 @@ from smallforms import (
     tail_dichotomy,
     ubiquity_density,
 )
-from smallforms import measure
+from smallforms import lattice, measure
 from smallforms.functions import OmegaFunction
 from smallforms.manifold import _sample_eta_batch, absorption_constant
 from smallforms.measure import (
@@ -128,7 +128,7 @@ def small_chunks(monkeypatch):
 def lattice_only(monkeypatch):
     """Every block takes the lattice reduction, however few points its box
     holds."""
-    monkeypatch.setattr(measure, "_DIRECT_BOX", 0)
+    monkeypatch.setattr(lattice, "_DIRECT_BOX", 0)
 
 
 @pytest.mark.usefixtures("small_chunks")

@@ -379,12 +379,40 @@ class TestLatticeEngine:
 
     def test_dirichlet_out_of_reach_at_3_1(self):
         # at t = 18 a rounded value may exceed b exactly by several times b:
-        # the rounding guard refuses the question instead of answering it
-        x = (0.31, -0.27, 0.44)
+        # once the walk reaches a reduced block, the rounding guard refuses
+        # the question instead of answering it
+        x = (0.3141592653589793, -0.2718281828459045, 0.4142135623730951)
         with pytest.raises(BudgetExceededError):
             dirichlet_witness(col(*x), 18)
         x_arg = "--X=" + ",".join(map(repr, x))
         assert main(["dirichlet", "--m", "3", "--n", "1", x_arg, "--t", "18"]) == 3
+
+    def test_dirichlet_hit_in_a_block_valued_whole(self):
+        # the guard is the reach of the reduction: a hit that the walk finds
+        # in a block valued whole is the naive first hit, however large t is
+        X = col(0.31, -0.27, 0.44)   # 6 x_1 + 2 x_2 - 3 x_3 = 0 up to rounding
+        w = dirichlet_witness(X, 18)
+        assert w.q == naive_first_hit(X, 6, dirichlet_bound(3, 1, 18)) == (6, 2, -3)
+        for X, t in ((col(0.3), 60), (col(-0.1234567), 1000), (MatrixPoint.from_columns([0.3], [0.2]), 200)):
+            assert dirichlet_witness(X, t).q == (1,)
+
+    @pytest.mark.parametrize("m, n, psi, q_max", [
+        (3, 1, (1.0, 12.0), 60), (2, 1, (1.0, 8.0), 200), (3, 2, (1.0, 12.0), 40), (2, 2, (1.0, 10.0), 100)])
+    def test_steep_psi_equals_naive(self, m, n, psi, q_max):
+        # psi(lo) of the top block lies below the least bound the rounding
+        # guard accepts at hi: the block is asked at the guards' floor and
+        # filtered at psi
+        f = ApproximatingFunction.power(*psi)
+        lo = lattice._height_blocks(1, q_max)[-1][0]
+        rng = np.random.default_rng(130 + 10 * m + n)
+        points = [rng.random((m, n)) - 0.5 for _ in range(4)]
+        points += [np.round(x, 2) for x in points[:2]] + [rng.integers(-31, 32, (m, n)) / 64]
+        for x in points:
+            X = MatrixPoint(x)
+            assert f(float(lo)) < lattice._least_bound(m, q_max, float(np.abs(x).max()))
+            fast = witnesses(X, f, SearchBudget(q_max))
+            slow = witnesses(X, f, SearchBudget(q_max, pruning=False))
+            assert [(w.q, w.value) for w in fast] == [(w.q, w.value) for w in slow]
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (3, 2), (4, 1)])
