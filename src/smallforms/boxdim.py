@@ -62,23 +62,12 @@ class GridSpec:
 
     level: int
     dim: int
-    window_lo: tuple | None = None
-    window_hi: tuple | None = None
 
     def __post_init__(self):
         if self.level < 1:
             raise PreconditionError("grid level must be >= 1")
         if self.dim < 1:
             raise PreconditionError("grid dimension must be >= 1")
-        if (self.window_lo is None) != (self.window_hi is None):
-            raise PreconditionError("window needs both corners")
-        if self.window_lo is not None:
-            lo = np.asarray(self.window_lo, dtype=float)
-            hi = np.asarray(self.window_hi, dtype=float)
-            if lo.size != self.dim or hi.size != self.dim:
-                raise PreconditionError("window corners must match the grid dimension")
-            if np.any(lo >= hi) or np.any(lo < -0.5) or np.any(hi > 0.5):
-                raise PreconditionError("window must be a nonempty box inside the cube")
 
     @property
     def delta(self) -> float:

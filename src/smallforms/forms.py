@@ -137,18 +137,25 @@ class Witness:
 
 def form_columns(q, rows) -> np.ndarray:
     """The columns sum_i q_i x_ij, shape (..., n), of integer q (..., k)
-    against ``rows`` (k, n), the matching rows x_i of X.
+    against ``rows`` (..., k, n), the matching rows x_i of X or of a stack
+    of matrices; the leading axes broadcast.
 
-    The one rounding of q.X in the package: per column the products
+    The one float valuation of q.X in the package: per column the products
     float(q_i) x_ij are added from the last coordinate down to the first,
     elementwise and without BLAS.  So a q's columns do not depend on the
-    array it sits in, and -q negates them exactly.
+    array it sits in, and -q negates them exactly.  The sums are formed
+    column by column over the whole stack, in place.
     """
-    q = np.asarray(q)
-    acc = np.zeros(q.shape[:-1] + rows.shape[1:])
-    for i in reversed(range(q.shape[-1])):
-        acc = q[..., i, None] * rows[i] + acc   # int64 to float is exact below 2^53
-    return acc
+    q, rows = np.asarray(q), np.asarray(rows)
+    k, n = rows.shape[-2:]
+    q_cols = [q[..., i].astype(float) for i in range(k)]   # exact below 2^53
+    shape = np.broadcast(q_cols[0], rows[..., 0, 0]).shape
+    acc, term = np.empty((n,) + shape), np.empty(shape)
+    for j in range(n):
+        column = np.multiply(q_cols[k - 1], rows[..., k - 1, j], out=acc[j, ...])
+        for i in reversed(range(k - 1)):
+            column += np.multiply(q_cols[i], rows[..., i, j], out=term)
+    return acc.transpose(tuple(range(1, acc.ndim)) + (0,))
 
 
 def form_value(q, X: MatrixPoint) -> float:

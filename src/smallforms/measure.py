@@ -21,7 +21,9 @@ one block, b the pigeonhole bound.  Where the engine's rounding bound (of
 order m eps hi max|x| / b) exceeds 1/4 it raises :class:`BudgetExceededError`:
 with omega(t) = t, from t = 27 at (2, 1), t = 18 at (3, 1) and t = 13 at
 (4, 1).  The band scan is the engine's oracle in the tests, and the path of
-delta-t.
+delta-t.  Both value q.X only by :func:`smallforms.forms.form_columns`, as
+:mod:`smallforms.search` does, so the three agree at near ties by
+construction, whatever CPU or BLAS build runs them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .forms import DISTANCE_CONVENTION
+from .forms import DISTANCE_CONVENTION, form_columns
 from .functions import ApproximatingFunction
 from .lattice import _box_basis, _coefficient_bounds, _coefficient_box, _direct_box, _height_blocks
 from .lattice import _lll_transform, _rounding_prior, band_vectors
@@ -271,27 +273,22 @@ def _direct_union_mask(xs, vecs, thresholds, inclusive):
 
     ``xs`` has shape (S, m, n); ``vecs`` (K, m); ``thresholds`` (K,).
     """
-    S, m, n = xs.shape
-    K = len(vecs)
+    S, _, n = xs.shape
     out = np.zeros(S, dtype=bool)
-    chunk = max(1, _CELL_BUDGET // max(K * n, 1))
-    flat = xs.reshape(S, m * n)
-    vf = vecs.astype(float)
+    chunk = max(1, _CELL_BUDGET // max(len(vecs) * n, 1))
     for s0 in range(0, S, chunk):
-        block = flat[s0 : s0 + chunk]
-        prods = vf @ block.reshape(len(block), m, n).transpose(1, 0, 2).reshape(m, -1)
-        prods = np.abs(prods).reshape(K, len(block), n).max(axis=2)
-        hit = prods <= thresholds[:, None] if inclusive else prods < thresholds[:, None]
-        out[s0 : s0 + chunk] = hit.any(axis=0)
+        values = np.abs(form_columns(vecs, xs[s0 : s0 + chunk, None])).max(axis=2)
+        hit = values <= thresholds if inclusive else values < thresholds
+        out[s0 : s0 + chunk] = hit.any(axis=1)
     return out
 
 
 def _box_hits(q, xs, height_cap, bound, keep):
     """(s, K) mask of the candidates q of each sample of ``xs`` (s, m, n)
     with |q|_inf <= cap and max_j |q.x_j| < bound that ``keep`` accepts; q
-    is (s, K, m), or (K, m) for every sample.  Values come from the oracle's
-    own expression, the matrix product q X of :func:`_direct_union_mask`."""
-    values = np.abs(q.astype(float) @ xs).max(axis=2)
+    is (s, K, m), or (K, m) for every sample.  Values come from
+    :func:`~smallforms.forms.form_columns`, as in the oracle and the search."""
+    values = np.abs(form_columns(q, xs[:, None])).max(axis=2)
     heights = np.abs(q).max(axis=-1)
     hit = (heights <= height_cap) & (values < bound)
     return hit if keep is None else hit & keep(q, values, heights)
@@ -303,11 +300,11 @@ def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
     start from the transforms ``start`` (S, m, m) and are written back.
 
     A small box (:func:`~smallforms.lattice._direct_box`) is tested whole.
-    Otherwise q = lead e_1 seeds the mask, the other bases are LLL-reduced,
-    the least multiples of height >= lead of the rows of U settle most
-    samples of a saturated block, and the rest enumerate their coefficient
-    boxes per group of equal bounds, in chunks of about ``_CELL_BUDGET``
-    cells.  Candidates pass the oracle's filter (:func:`_box_hits`).
+    Otherwise the bases are LLL-reduced, the least multiples of height >=
+    lead of the rows of U settle most samples of a saturated block, and the
+    rest enumerate their coefficient boxes per group of equal bounds, in
+    chunks of about ``_CELL_BUDGET`` cells.  Candidates pass the oracle's
+    filter (:func:`_box_hits`).
     """
     S, m, _ = xs.shape
     out = np.zeros(S, dtype=bool)
@@ -317,25 +314,19 @@ def _block_witness_mask(xs, start, lead, height_cap, bound, keep):
         _scan_box(out, np.arange(S), xs, None, (height_cap,) * m, height_cap, bound, keep)
         return out
     prior = _rounding_prior(m, height_cap, float(np.max(np.abs(xs), initial=0.0)), bound)
-    out |= _box_hits(lead * np.eye(1, m, dtype=np.int64), xs, height_cap, bound, keep)[:, 0]
+    basis = _box_basis(xs, height_cap, bound)
+    U = _lll_transform(basis, start)
+    start[:] = U
+    short = U * -(-lead // np.abs(U).max(axis=2, keepdims=True))   # least multiples of height >= lead
+    out = _box_hits(short, xs, height_cap, bound, keep).any(axis=1)
     live = np.nonzero(~out)[0]
     if live.size == 0:
         return out
-    x = xs[live]
-    basis = _box_basis(x, height_cap, bound)
-    U = _lll_transform(basis, start[live])
-    start[live] = U
-    short = U * -(-lead // np.abs(U).max(axis=2, keepdims=True))   # least multiples of height >= lead
-    out[live] = _box_hits(short, x, height_cap, bound, keep).any(axis=1)
-    keep_live = ~out[live]
-    live, x, basis, U = live[keep_live], x[keep_live], basis[keep_live], U[keep_live]
-    if live.size == 0:
-        return out
-    bounds = _coefficient_bounds(basis, U, prior)
+    bounds = _coefficient_bounds(basis[live], U[live], prior)
     keys, group = np.unique(bounds, axis=0, return_inverse=True)
     for g, key in enumerate(keys):
-        members = np.nonzero(group.ravel() == g)[0]
-        _scan_box(out, live[members], x[members], U[members], tuple(int(k) for k in key),
+        members = live[group.ravel() == g]
+        _scan_box(out, members, xs[members], U[members], tuple(int(k) for k in key),
                   height_cap, bound, keep)
     return out
 

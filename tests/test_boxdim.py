@@ -178,6 +178,20 @@ class TestCoverCount:
         assert cover_count([1, 0], psi, 0.25) == 16
         assert cover_count([1, 0], psi, 2.0 ** -5) == 4 ** 5
 
+    @pytest.mark.parametrize("q, c, tau", [((1,), 0.25, 1.0), ((-3,), 0.3, 1.5), ((7,), 2.0, 0.5)])
+    def test_one_dimensional_slab_matches_brute_count(self, q, c, tau):
+        # m = 1: the slab |q x| <= Psi(|q|) |q|_2 is an interval of half-width
+        # Psi(|q|); a cell counts when it meets it on positive measure, not
+        # at an edge alone
+        psi = ApproximatingFunction.power(c, tau)
+        k = abs(q[0])
+        half = psi.big_psi(float(k)) * k / k   # as rounded from Psi |q|_2
+        for level in range(1, 9):
+            delta = 2.0 ** -level
+            brute = sum(1 for j in range(1 << level)
+                        if (j + 1) * delta - 0.5 > -half and j * delta - 0.5 < half)
+            assert cover_count(q, psi, delta) == brute, level
+
     def test_tilted_slab_matches_independent_rasterizer(self):
         q = (2, 3)
         psi = psi_with_width(1.0 / 16.0, 3)
@@ -471,10 +485,3 @@ class TestGridSpec:
             GridSpec.from_delta(0.3, 2)
         spec = GridSpec.from_delta(0.125, 2)
         assert spec.level == 3 and spec.per_axis == 8
-
-    def test_window_validation(self):
-        GridSpec(3, 2, (-0.25, -0.25), (0.25, 0.25))
-        with pytest.raises(PreconditionError):
-            GridSpec(3, 2, (-0.25,), (0.25, 0.25))
-        with pytest.raises(PreconditionError):
-            GridSpec(3, 2, (0.3, 0.3), (0.2, 0.4))

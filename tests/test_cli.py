@@ -80,6 +80,13 @@ class TestDispatch:
         assert code == 0
         assert lines[0] == "Divergent / Full-Lebesgue"
 
+    def test_series_classify_line(self):
+        code, lines = run_capture(
+            ["series", "classify", "--m", "3", "--n", "1", "--psi", "pow:1,2", "--f", "powlog:3,-2"]
+        )
+        assert code == 0
+        assert lines == ["convergent (term ~ r^-1 log(r)^-2)"]
+
     def test_dimension_line(self):
         code, lines = run_capture(["dimension", "--m", "2", "--n", "1", "--tau", "2"])
         assert code == 0

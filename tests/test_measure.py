@@ -8,14 +8,18 @@ import pytest
 from smallforms import (
     ApproximatingFunction,
     BudgetExceededError,
+    MatrixPoint,
     PreconditionError,
+    SearchBudget,
     UbiquityConfig,
     estimate_E_t,
     estimate_delta_t,
     tail_dichotomy,
     ubiquity_density,
+    witnesses,
 )
 from smallforms import lattice, measure
+from smallforms.forms import form_columns
 from smallforms.functions import OmegaFunction
 from smallforms.manifold import _sample_eta_batch, absorption_constant
 from smallforms.measure import (
@@ -347,8 +351,8 @@ class TestBoxEngine:
 
     def test_direct_agreement_at_height_2_7(self):
         # the direct scan over slabs q_1 = k >= 0 of the box (one of each +-q),
-        # by the oracle's matrix product; a sample hits iff its least value
-        # is below the bound
+        # valued by a matrix product; a sample hits iff its least value is
+        # below the bound
         rng = np.random.default_rng(94)
         cap = 2 ** 7
         xs = np.concatenate(_agreement_inputs(rng, (16, 3, 1)))
@@ -435,6 +439,54 @@ class TestBoxEngine:
         # (2, 1) trips the a priori bound, (3, 1) the bound of the reduced bases
         with pytest.raises(BudgetExceededError):
             estimate_E_t(m, n, OmegaFunction.power(1.0), t, samples=200, seed=0)
+
+
+class TestOneExpression:
+    """The engine, its band-scan oracle and the witness search value q.X by
+    the one expression of :func:`~smallforms.forms.form_columns`, so they
+    agree at near ties, whatever BLAS build runs them."""
+
+    FOUND = ([[0.16284295251679926], [-0.2246911842388707]], 40, 0.0023262422552798867)
+
+    def test_engine_agrees_with_its_oracle_at_a_near_tie(self):
+        # q = (40, 29) lies 2^-53 below b in exact arithmetic and the one
+        # expression rounds its value to b, so neither path takes it; a BLAS
+        # matrix product may round it below b in one path and not the other
+        x, cap, b = self.FOUND
+        xs = np.array([x])
+        exact = abs(40 * Fraction(x[0][0]) + 29 * Fraction(x[1][0]))
+        assert exact < Fraction(b) and abs(float(form_columns([40, 29], xs[0])[0])) == b
+        vecs, _ = band_vectors(2, 1, cap)
+        oracle = _direct_union_mask(xs, vecs, np.full(len(vecs), b), False)
+        assert _box_witness_mask(xs, [(1, cap, b)]).tolist() == oracle.tolist() == [False]
+
+    @pytest.mark.parametrize("m, n, cap, whole", [
+        (2, 1, 6, True), (2, 1, 40, False), (3, 1, 3, True), (3, 1, 8, False),
+        (4, 1, 1, True), (4, 1, 3, False), (3, 2, 3, True), (3, 2, 6, False),
+        (2, 2, 5, True), (2, 2, 20, False),
+    ])
+    def test_engine_decides_at_the_least_band_value(self, m, n, cap, whole):
+        # bound = the least value of the band: no q is below it, and one ulp
+        # above it the least q is
+        rng = np.random.default_rng(300 + 10 * m + n + cap)
+        xs = rng.random((48, m, n)) - 0.5
+        assert lattice._direct_box(xs, cap) == whole
+        vecs, _ = band_vectors(m, 1, cap)
+        for x in xs:
+            b = float(np.abs(form_columns(vecs, x)).max(axis=1).min())
+            assert _box_witness_mask(x[None], [(1, cap, b)]).tolist() == [False], x.tolist()
+            assert _box_witness_mask(x[None], [(1, cap, np.nextafter(b, 1.0))]).tolist() == [True]
+
+    @pytest.mark.parametrize("m, n, tau", [(2, 1, 2.5), (3, 1, 4.0), (3, 2, 2.0), (2, 2, 1.0)])
+    def test_batch_has_witness_agrees_with_witnesses(self, m, n, tau):
+        rng = np.random.default_rng(320 + 10 * m + n)
+        xs = rng.random((60, m, n)) - 0.5
+        psi = ApproximatingFunction.power(1.0, tau)
+        n_min, q_max = 4, 24
+        found = [any(w.height >= n_min for w in witnesses(MatrixPoint(x), psi, SearchBudget(q_max)))
+                 for x in xs]
+        assert 0 < sum(found) < len(xs)
+        assert batch_has_witness(xs, psi, n_min, q_max).tolist() == found
 
 
 class TestDeltaT:

@@ -577,11 +577,81 @@ def test_form_columns_of_rows_and_slices(m, n):
         assert np.array_equal(form_columns(-part, X.entries), -cols)
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_form_columns_of_a_stack(m, n):
+    # against a stack of matrices, with q shared or per matrix, every q gets
+    # the columns of the plain loop from the last coordinate down to the first
+    rng = np.random.default_rng(100 + 10 * m + n)
+    xs = rng.random((5, m, n)) - 0.5
+    for q in (rng.integers(-1000, 1001, (7, m)), rng.integers(-1000, 1001, (5, 7, m))):
+        cols = form_columns(q, xs[:, None])
+        assert cols.shape == (5, 7, n)
+        for s, x in enumerate(xs.tolist()):
+            for k, row in enumerate(np.broadcast_to(q, (5, 7, m))[s].tolist()):
+                for j in range(n):
+                    value = 0.0
+                    for i in reversed(range(m)):
+                        value = row[i] * x[i][j] + value
+                    assert cols[s, k, j] == value
+
+
+_VIEWS = {"reshape", "transpose", "swapaxes", "squeeze", "ravel", "astype", "copy", "view"}
+
+
+def _reads_x(node, names):
+    """Whether ``node`` reads the entries of X: the attribute ``entries`` or
+    a name in ``names``.  Shapes, sizes and lengths are not entries."""
+    if isinstance(node, ast.Attribute) and node.attr in ("shape", "ndim", "size"):
+        return False
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len":
+        return False
+    if isinstance(node, ast.Attribute) and node.attr == "entries" or isinstance(node, ast.Name) and node.id in names:
+        return True
+    return any(_reads_x(child, names) for child in ast.iter_child_nodes(node))
+
+
+def _view_of(node):
+    """The name that ``node`` slices, reshapes, transposes or casts, if any."""
+    while True:
+        if isinstance(node, ast.Subscript) or isinstance(node, ast.Attribute) and node.attr == "T":
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _VIEWS:
+            node = node.func.value
+        else:
+            return node.id if isinstance(node, ast.Name) else None
+
+
+def _x_names(fn, seeds):
+    """Names bound in ``fn`` to a value that reads X itself (``.entries`` or
+    a name in ``seeds``), or to a slice, reshape, transpose or cast of a name
+    so bound, at any depth."""
+    pairs = []
+    for a in ast.walk(fn):
+        if isinstance(a, ast.Assign):
+            for target in a.targets:
+                if isinstance(target, ast.Tuple) and isinstance(a.value, ast.Tuple):
+                    pairs += zip(target.elts, a.value.elts)
+                else:
+                    pairs.append((target, a.value))
+    names = set(seeds)
+    while True:
+        bound = {t.id for target, value in pairs if _reads_x(value, seeds) or _view_of(value) in names
+                 for t in ast.walk(target) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+        if bound <= names:
+            return names
+        names |= bound
+
+
 def test_one_form_expression():
-    # form_columns is the only code in forms.py and search.py that multiplies
-    # by the entries of X: no matmul, and no product with an entries-derived name
+    # form_columns is the only float valuation of q.X in forms.py, search.py
+    # and measure.py: no dot, matmul or einsum, and no product (* or @) that
+    # reads X or a name bound to it.  X is ``.entries`` in forms.py and
+    # search.py, which use no @ at all, and the samples ``xs`` in measure.py,
+    # whose integer products c U of coefficient boxes stay.  manifold.py is
+    # left out: it values q.X only through form_value, and its @ and einsum
+    # build X.
     package = Path(smallforms.__file__).parent
-    for name in ("forms.py", "search.py"):
+    for name, seeds in (("forms.py", ()), ("search.py", ()), ("measure.py", ("xs",))):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
         calls = {n.func.attr for n in ast.walk(tree)
                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
@@ -589,11 +659,8 @@ def test_one_form_expression():
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef) or fn.name == "form_columns":
                 continue
-            derived = {t.id for a in ast.walk(fn)
-                       if isinstance(a, ast.Assign) and "entries" in ast.unparse(a.value)
-                       for target in a.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            names = _x_names(fn, seeds)
             for op in ast.walk(fn):
                 if isinstance(op, ast.BinOp) and isinstance(op.op, (ast.Mult, ast.MatMult)):
-                    used = {v.id for v in ast.walk(op) if isinstance(v, ast.Name)}
-                    assert isinstance(op.op, ast.Mult), f"{name}:{op.lineno} uses @"
-                    assert "entries" not in ast.unparse(op) and not used & derived, f"{name}:{op.lineno}"
+                    assert name == "measure.py" or isinstance(op.op, ast.Mult), f"{name}:{op.lineno} uses @"
+                    assert not _reads_x(op, names), f"{name}:{op.lineno}"

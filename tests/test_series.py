@@ -14,7 +14,7 @@ from smallforms import (
     sum_equivalence_check,
     verdict,
 )
-from smallforms.series import criterion_terms, dimension_formula_exact
+from smallforms.series import _first_valid_r, criterion_terms, dimension_formula_exact
 
 
 def psi_pow(tau, c=1.0):
@@ -62,6 +62,36 @@ class TestClassifySeries:
         b = classify_series(2, 1, DimensionFunction.power(2), table, horizon=1 << 12)
         assert b.method == "partial-sum"
         assert b.non_rigorous
+
+
+class TestPowerLogGauge:
+    """f(x) = x^s log(1/x)^kappa, defined where Psi(r) < 1."""
+
+    def test_criterion_terms(self):
+        f = DimensionFunction.power_log(2.0, -2.0)
+        rs = np.arange(2.0, 50.0)
+        big = 1.0 / rs ** 2                               # Psi(r) = r^-1 / r
+        expected = big ** 2 * np.log(1.0 / big) ** -2.0 * big ** -1 * rs
+        assert np.allclose(criterion_terms(2, 1, f, psi_pow(1.0), rs), expected, rtol=1e-12, atol=0)
+        with pytest.raises(PreconditionError):
+            criterion_terms(2, 1, f, psi_pow(1.0), 1.0)   # Psi(1) = 1
+
+    def test_first_valid_r_scans_to_psi_below_one(self):
+        f = DimensionFunction.power_log(2.0, 1.0)
+        assert _first_valid_r(f, psi_pow(1.0, c=10.0).big_psi) == 4   # Psi(r) = 10 / r^2
+        assert _first_valid_r(DimensionFunction.power(2.0), psi_pow(1.0, c=10.0).big_psi) == 1
+        with pytest.raises(PreconditionError):
+            _first_valid_r(f, psi_pow(1.0, c=1e9).big_psi)   # still above 1 at r = 4096
+
+    @pytest.mark.parametrize("tau, convergent", [(3.0, True), (0.5, False)])
+    def test_table_psi_classified_from_the_first_valid_height(self, tau, convergent):
+        # psi = 4 r^-tau at powers of two, Psi(1) = 4: the partial sums start
+        # where Psi drops below 1; the term is about r^-tau log r
+        table = ApproximatingFunction.from_table(
+            [(2.0 ** k, 4 * 2.0 ** (-tau * k)) for k in range(13)], strict=False)
+        b = classify_series(2, 1, DimensionFunction.power_log(2.0, 1.0), table, horizon=1 << 12)
+        assert b.method == "partial-sum" and b.non_rigorous
+        assert b.convergent == convergent
 
 
 class TestVerdict:
