@@ -1,11 +1,13 @@
 """Command-line front end tying the search, series, measure, box-dimension
 and manifold experiments into reproducible runs.
 
-Exit codes: 0 success, 2 malformed configuration or violated precondition,
-3 enumeration/grid budget exceeded.  Function specs use a flat mini-grammar:
-``pow:c,tau`` / ``powlog:c,tau,kappa`` / ``table:path`` for psi and
-``pow:s`` / ``powlog:s,kappa`` for f; omega accepts ``pow:exponent[,scale]``
-or ``table:path``.
+Exit codes: 0 success, 2 malformed configuration, violated precondition or
+unwritable ``--out``, 3 enumeration/grid budget exceeded.  One parser reads the
+function specs: ``pow:c,tau`` / ``powlog:c,tau,kappa`` / ``table:path`` for
+psi, ``pow:s`` / ``powlog:s,kappa`` for f, ``pow:exponent[,scale]`` /
+``table:path`` for omega.  :class:`RunConfig`'s field defaults are the only
+defaults, apart from ``--threads`` (``SMALLFORMS_THREADS``, else 1) and
+``manifold --samples`` (2000).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -57,50 +59,41 @@ _VERDICT_DISPLAY = {
 # function-spec mini-grammar
 # ---------------------------------------------------------------------------
 
-def parse_psi(spec: str) -> ApproximatingFunction:
+# Each family takes a fixed number of floats (or, for ``table``, the rows of a
+# CSV file), so a spec with too many or too few parameters is a TypeError.
+_PSI_FAMILIES = {
+    "pow": lambda c, tau: ApproximatingFunction.power(c, tau),
+    "powlog": lambda c, tau, kappa: ApproximatingFunction.power_log(c, tau, kappa),
+    "table": ApproximatingFunction.from_table,
+}
+_F_FAMILIES = {"pow": DimensionFunction.power, "powlog": DimensionFunction.power_log}
+_OMEGA_FAMILIES = {"pow": OmegaFunction.power, "table": OmegaFunction.from_table}
+
+
+def _parse_spec(spec, what, families):
+    """``family:p1,p2,...`` (floats) or ``table:path`` (CSV rows of two floats)."""
     kind, _, rest = spec.partition(":")
+    if kind not in families:
+        raise PreconditionError(f"bad {what} spec {spec!r}: unknown family {kind!r}")
     try:
-        if kind == "pow":
-            c, tau = (float(x) for x in rest.split(","))
-            return ApproximatingFunction.power(c, tau)
-        if kind == "powlog":
-            c, tau, kappa = (float(x) for x in rest.split(","))
-            return ApproximatingFunction.power_log(c, tau, kappa)
         if kind == "table":
             with open(rest, newline="", encoding="utf-8") as fh:
-                pairs = [(float(r), float(v)) for r, v in csv.reader(fh)]
-            return ApproximatingFunction.from_table(pairs)
-    except (ValueError, OSError) as exc:
-        raise PreconditionError(f"bad psi spec {spec!r}: {exc}") from exc
-    raise PreconditionError(f"bad psi spec {spec!r}: unknown family {kind!r}")
+                return families[kind]([(float(a), float(v)) for a, v in csv.reader(fh)])
+        return families[kind](*(float(x) for x in rest.split(",")))
+    except (TypeError, ValueError, OSError) as exc:
+        raise PreconditionError(f"bad {what} spec {spec!r}: {exc}") from exc
+
+
+def parse_psi(spec: str) -> ApproximatingFunction:
+    return _parse_spec(spec, "psi", _PSI_FAMILIES)
 
 
 def parse_f(spec: str) -> DimensionFunction:
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "pow":
-            return DimensionFunction.power(float(rest))
-        if kind == "powlog":
-            s, kappa = (float(x) for x in rest.split(","))
-            return DimensionFunction.power_log(s, kappa)
-    except ValueError as exc:
-        raise PreconditionError(f"bad f spec {spec!r}: {exc}") from exc
-    raise PreconditionError(f"bad f spec {spec!r}: unknown family {kind!r}")
+    return _parse_spec(spec, "f", _F_FAMILIES)
 
 
 def parse_omega(spec: str) -> OmegaFunction:
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "pow":
-            parts = [float(x) for x in rest.split(",")]
-            return OmegaFunction.power(*parts)
-        if kind == "table":
-            with open(rest, newline="", encoding="utf-8") as fh:
-                pairs = [(float(t), float(v)) for t, v in csv.reader(fh)]
-            return OmegaFunction.from_table(pairs)
-    except (TypeError, ValueError, OSError) as exc:
-        raise PreconditionError(f"bad omega spec {spec!r}: {exc}") from exc
-    raise PreconditionError(f"bad omega spec {spec!r}: unknown family {kind!r}")
+    return _parse_spec(spec, "omega", _OMEGA_FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +166,11 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _emit_reports(reports, config, stem):
     written = []
     if not config.out_dir:
@@ -185,8 +183,7 @@ def _emit_reports(reports, config, stem):
             written.append(path)
     if config.out_format in ("csv", "both"):
         path = os.path.join(config.out_dir, f"{stem}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(reports_to_csv_rows(reports))
+        _write_csv(path, reports_to_csv_rows(reports))
         written.append(path)
     return written
 
@@ -224,14 +221,10 @@ def emit_plot_data(reports, out_csv, out_script):
     if isinstance(reports[0], BoxDimReport):
         if not all(isinstance(r, BoxDimReport) for r in reports):
             raise PreconditionError("mixed report families")
-        with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("log2_inv_delta", "log2_N", "Q"))
-            for rep in reports:
-                for delta, q_max, _, count in rep.points:
-                    writer.writerow(
-                        (repr(math.log2(1.0 / delta)), repr(math.log2(max(count, 1))), q_max)
-                    )
+        rows = [("log2_inv_delta", "log2_N", "Q")] + [
+            (repr(math.log2(1.0 / delta)), repr(math.log2(max(count, 1))), q_max)
+            for rep in reports for delta, q_max, _, count in rep.points
+        ]
         script = _PLOT_SCRIPT.format(
             x="log2_inv_delta", y="log2_N", err="", title="box-count scaling"
         )
@@ -239,11 +232,11 @@ def emit_plot_data(reports, out_csv, out_script):
         families = {r.experiment for r in reports}
         if len(families) != 1:
             raise PreconditionError(f"mixed report families: {sorted(families)}")
-        with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(reports_to_csv_rows(reports))
+        rows = reports_to_csv_rows(reports)
         script = _PLOT_SCRIPT.format(
             x="parameter_value", y="estimate", err="stderr", title=families.pop()
         )
+    _write_csv(out_csv, rows)
     with open(out_script, "w", encoding="utf-8") as fh:
         fh.write(script)
     return out_csv, out_script
@@ -326,38 +319,25 @@ def _run_series(config, out):
 
 
 def _run_measure(config, out):
-    mode = config.mode
-    if mode in ("delta-t", "dichotomy") and not config.psi:
-        raise PreconditionError(f"measure {mode} needs --psi")
-    psi = parse_psi(config.psi) if config.psi else None
-    reports = []
-    if mode == "delta-t":
-        for t in config.t_schedule or ((config.t,) if config.t else ()):
-            reports.append(
-                estimate_delta_t(config.m, config.n, psi, t, config.k,
-                                 config.samples, config.seed, config.threads)
-            )
-    elif mode == "e-t":
-        omega = parse_omega(config.omega)
-        for t in config.t_schedule or ((config.t,) if config.t else ()):
-            reports.append(
-                estimate_E_t(config.m, config.n, omega, t, config.samples,
-                             config.seed, config.threads)
-            )
-    elif mode == "ubiquity":
-        omega = parse_omega(config.omega)
-        ub = UbiquityConfig(config.m, config.n, omega, k=config.k)
-        center = config.ball_center or None
-        for t in config.t_schedule or ((config.t,) if config.t else ()):
-            reports.append(
-                ubiquity_density(config.m, config.n, ub, t, config.samples,
-                                 config.seed, center, config.ball_radius, config.threads)
-            )
-    elif mode == "dichotomy":
-        reports = tail_dichotomy(config.m, config.n, psi, config.n_schedule,
-                                 config.q_max, config.samples, config.seed, config.threads)
+    c = config
+    if c.mode in ("delta-t", "dichotomy") and not c.psi:
+        raise PreconditionError(f"measure {c.mode} needs --psi")
+    psi = parse_psi(c.psi) if c.psi else None
+    sampling = {"samples": c.samples, "seed": c.seed, "threads": c.threads}
+    if c.mode == "dichotomy":
+        reports = tail_dichotomy(c.m, c.n, psi, c.n_schedule, c.q_max, **sampling)
     else:
-        raise PreconditionError(f"unknown measure mode {mode!r}")
+        if c.mode == "delta-t":
+            estimate, target, extra = estimate_delta_t, psi, {"k": c.k}
+        elif c.mode == "e-t":
+            estimate, target, extra = estimate_E_t, parse_omega(c.omega), {}
+        elif c.mode == "ubiquity":
+            estimate, target = ubiquity_density, UbiquityConfig(c.m, c.n, parse_omega(c.omega), k=c.k)
+            extra = {"ball_center": c.ball_center or None, "ball_radius": c.ball_radius}
+        else:
+            raise PreconditionError(f"unknown measure mode {c.mode!r}")
+        reports = [estimate(c.m, c.n, target, t, **extra, **sampling)
+                   for t in c.t_schedule or ((c.t,) if c.t else ())]
     if not reports:
         raise PreconditionError("no schedule points given (--t or --t-schedule)")
     for rep in reports:
@@ -387,43 +367,12 @@ def _run_boxdim(config, out):
             os.path.join(config.out_dir, "boxdim.csv"),
             os.path.join(config.out_dir, "plot.py"),
         )
-        _write_json(
-            os.path.join(config.out_dir, "boxdim.json"),
-            {
-                "m": report.m,
-                "n": report.n,
-                "tau": report.tau,
-                "slope": report.slope,
-                "intercept": report.intercept,
-                "target": report.target,
-                "residuals": list(report.residuals),
-                "points": [list(p) for p in report.points],
-                "label": report.label,
-            },
-        )
+        _write_json(os.path.join(config.out_dir, "boxdim.json"), asdict(report))
     return []
 
 
 def _run_manifold(config, out):
     mode = config.mode
-    if mode == "eta":
-        pts = sample_gamma_points(config.m, config.n, 1, config.seed or 0)
-        gp = pts[0]
-        out(f"defect {gp.defect:.3e}; rank-deficient={gp.rank_deficient}")
-        out(np.array2string(gp.point.entries, precision=6))
-        if config.out_dir:
-            os.makedirs(config.out_dir, exist_ok=True)
-            _write_json(os.path.join(config.out_dir, "gamma-point.json"), gp.to_json_dict())
-        return []
-    if mode == "certify":
-        pts = sample_gamma_points(config.m, config.n, 1, config.seed or 0)
-        psi = parse_psi(config.psi)
-        cert = certify_A_membership(pts[0], psi, 20 if config.q_max is None else config.q_max)
-        out(
-            f"certified={cert.certified} c={cert.c} "
-            f"witnesses={len(cert.witnesses_checked)} vacuous={cert.vacuous}"
-        )
-        return []
     if mode == "gamma-dichotomy":
         psi = parse_psi(config.psi)
         reports = gamma_dichotomy(config.m, config.n, psi, config.n_schedule,
@@ -434,7 +383,23 @@ def _run_manifold(config, out):
                 f"{rep.estimate:.6f} +- {rep.stderr:.6f}"
             )
         return reports
-    raise PreconditionError(f"unknown manifold mode {mode!r}")
+    if mode not in ("eta", "certify"):
+        raise PreconditionError(f"unknown manifold mode {mode!r}")
+    gp = sample_gamma_points(config.m, config.n, 1, config.seed)[0]
+    if mode == "eta":
+        out(f"defect {gp.defect:.3e}; rank-deficient={gp.rank_deficient}")
+        out(np.array2string(gp.point.entries, precision=6))
+        if config.out_dir:
+            os.makedirs(config.out_dir, exist_ok=True)
+            _write_json(os.path.join(config.out_dir, "gamma-point.json"), gp.to_json_dict())
+        return []
+    psi = parse_psi(config.psi)
+    cert = certify_A_membership(gp, psi, 20 if config.q_max is None else config.q_max)
+    out(
+        f"certified={cert.certified} c={cert.c} "
+        f"witnesses={len(cert.witnesses_checked)} vacuous={cert.vacuous}"
+    )
+    return []
 
 
 _DISPATCH = {
@@ -454,7 +419,7 @@ def run(config: RunConfig, out=print) -> int:
     try:
         config.validate()
         if config.subcommand == "dimension":
-            config = RunConfig(**{**config.to_dict(), "subcommand": "dimension", "mode": "dimension"})
+            config = replace(config, mode="dimension")
         handler = _DISPATCH.get(config.subcommand)
         if handler is None:
             raise PreconditionError(f"unknown subcommand {config.subcommand!r}")
@@ -465,7 +430,7 @@ def run(config: RunConfig, out=print) -> int:
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, SmallFormsError) as exc:
+    except (SmallFormsError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -483,99 +448,88 @@ def _csv_floats(text):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options left out stay out of the namespace, so RunConfig's field
+    defaults apply; only --threads and manifold --samples set their own."""
     parser = argparse.ArgumentParser(
         prog="smallforms",
         description="witness search, series verdicts, and measure/dimension experiments "
         "for simultaneously small linear forms",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--threads", type=int,
                         default=os.environ.get("SMALLFORMS_THREADS", "1"),
                         help="worker threads for sample batches")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_mn=True):
-        if with_mn:
-            p.add_argument("--m", type=int, default=2)
-            p.add_argument("--n", type=int, default=1)
-        p.add_argument("--out", dest="out_dir", default="")
-        p.add_argument("--format", dest="out_format", choices=("json", "csv", "both"),
-                       default="json")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--m", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--out", dest="out_dir")
+        p.add_argument("--format", dest="out_format", choices=("json", "csv", "both"))
+        return p
 
-    p = sub.add_parser("search", help="minimize |qX| or list psi-witnesses up to Q")
-    common(p)
+    p = command("search", "minimize |qX| or list psi-witnesses up to Q")
     p.add_argument("--X", dest="x_entries", type=_csv_floats, required=True,
                    help="column-major entries of X")
     p.add_argument("--Q", dest="q_max", type=int, required=True)
-    p.add_argument("--psi", default="", help="list witnesses for this psi instead of minimizing")
-    p.add_argument("--max-witnesses", dest="max_witnesses", type=int, default=None)
+    p.add_argument("--psi", help="list witnesses for this psi instead of minimizing")
+    p.add_argument("--max-witnesses", dest="max_witnesses", type=int)
     p.add_argument("--no-pruning", dest="pruning", action="store_false")
 
-    p = sub.add_parser("dirichlet", help="pigeonhole witness at stage t")
-    common(p)
+    p = command("dirichlet", "pigeonhole witness at stage t")
     p.add_argument("--X", dest="x_entries", type=_csv_floats, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("obstruction", help="height bound for invertible square X")
-    common(p)
+    p = command("obstruction", "height bound for invertible square X")
     p.add_argument("--X", dest="x_entries", type=_csv_floats, required=True)
     p.add_argument("--psi", required=True)
 
-    p = sub.add_parser("series", help="classify sums, render verdicts, build omega")
-    common(p)
+    p = command("series", "classify sums, render verdicts, build omega")
     p.add_argument("mode", choices=("classify", "verdict", "dimension", "omega", "equivalence"))
-    p.add_argument("--psi", default="")
-    p.add_argument("--f", default="")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--horizon", type=int, default=1 << 20)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--k", type=float, default=2.0)
+    p.add_argument("--psi")
+    p.add_argument("--f")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--k", type=float)
 
-    p = sub.add_parser("dimension", help="dimension formula for pure power psi")
-    common(p)
+    p = command("dimension", "dimension formula for pure power psi")
     p.add_argument("--tau", type=float, required=True)
 
-    p = sub.add_parser("measure", help="Monte Carlo measure experiments")
-    common(p)
+    p = command("measure", "Monte Carlo measure experiments")
     p.add_argument("mode", choices=("delta-t", "e-t", "ubiquity", "dichotomy"))
-    p.add_argument("--psi", default="")
-    p.add_argument("--omega", default="pow:1")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--t-schedule", dest="t_schedule", type=_csv_ints, default=())
-    p.add_argument("--N-schedule", dest="n_schedule", type=_csv_ints, default=())
-    p.add_argument("--Q", dest="q_max", type=int, default=None)
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ball-center", dest="ball_center", type=_csv_floats, default=())
-    p.add_argument("--ball-radius", dest="ball_radius", type=float, default=0.5)
+    p.add_argument("--psi")
+    p.add_argument("--omega")
+    p.add_argument("--t", type=int)
+    p.add_argument("--t-schedule", dest="t_schedule", type=_csv_ints)
+    p.add_argument("--N-schedule", dest="n_schedule", type=_csv_ints)
+    p.add_argument("--Q", dest="q_max", type=int)
+    p.add_argument("--k", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--ball-center", dest="ball_center", type=_csv_floats)
+    p.add_argument("--ball-radius", dest="ball_radius", type=float)
 
-    p = sub.add_parser("boxdim", help="coupled-schedule box-count slope")
-    common(p)
+    p = command("boxdim", "coupled-schedule box-count slope")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--levels", type=_csv_ints, default=())
-    p.add_argument("--band-ratio", dest="band_ratio", type=float, default=2.0)
+    p.add_argument("--levels", type=_csv_ints)
+    p.add_argument("--band-ratio", dest="band_ratio", type=float)
 
-    p = sub.add_parser("manifold", help="variety embedding and dichotomy on it")
-    common(p)
+    p = command("manifold", "variety embedding and dichotomy on it")
     p.add_argument("mode", choices=("eta", "certify", "gamma-dichotomy"))
-    p.add_argument("--psi", default="")
-    p.add_argument("--N-schedule", dest="n_schedule", type=_csv_ints, default=())
-    p.add_argument("--Q", dest="q_max", type=int, default=None)
+    p.add_argument("--psi")
+    p.add_argument("--N-schedule", dest="n_schedule", type=_csv_ints)
+    p.add_argument("--Q", dest="q_max", type=int)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int)
 
     return parser
 
 
 def config_from_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    data = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
-    for key in ("x_entries", "t_schedule", "n_schedule", "levels", "ball_center"):
-        if key in data:
-            data[key] = tuple(data[key])
-    return RunConfig(**data)
+    return RunConfig.from_dict(vars(build_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:

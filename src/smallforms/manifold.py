@@ -27,7 +27,8 @@ import numpy as np
 from .errors import BudgetExceededError, OutOfCubeError, PreconditionError
 from .forms import MatrixPoint, form_value
 from .functions import ApproximatingFunction, DimensionFunction
-from .measure import _cutoff_schedule, _seeded_source, _tail_reports, batch_has_witness
+from .measure import (_cutoff_schedule, _seed_sequence, _seeded_source, _tail_reports,
+                      batch_has_witness)
 from .search import SearchBudget, witnesses
 from .series import criterion_terms, _first_valid_r
 
@@ -252,7 +253,7 @@ def sample_gamma_points(m, n, count, seed) -> list:
     :func:`_sample_eta_batch` draw, each row embedded by :func:`eta_embed`."""
     if not 2 <= m <= n or count < 0:
         raise PreconditionError("need 2 <= m <= n and count >= 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
     full, coeffs = _sample_eta_batch(rng, count, m, n)
     return [eta_embed(EmbeddingInput(x[:, : m - 1], a), n) for x, a in zip(full, coeffs)]
 

@@ -171,10 +171,17 @@ def _batch_count(points, batch):
     return (points + batch - 1) // batch
 
 
+def _seed_sequence(seed):
+    try:
+        return np.random.SeedSequence(seed)
+    except ValueError as exc:  # a negative seed
+        raise PreconditionError(f"bad seed {seed!r}: {exc}") from exc
+
+
 def _seeded_source(samples, seed, draw, batch=_BATCH):
     """Batch i is ``draw(rng, size)`` with rng on child i of SeedSequence(seed)."""
     n_batches = _batch_count(samples, batch)
-    children = np.random.SeedSequence(seed).spawn(n_batches)
+    children = _seed_sequence(seed).spawn(n_batches)
 
     def make(i):
         size = min(batch, samples - i * batch)

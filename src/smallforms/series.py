@@ -350,7 +350,7 @@ def sum_equivalence_check(alpha, beta, psi: ApproximatingFunction,
         raise PreconditionError("k must be finite and exceed 1")
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise PreconditionError("alpha and beta must be finite")
-    t_max = int(math.floor(math.log(horizon, k)))
+    t_max = int(math.floor(math.log(max(horizon, 1), k)))
     if t_max < 4:
         raise HorizonTooSmallError("horizon admits fewer than 4 dyadic checkpoints")
 

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallforms.boxdim import boxdim_estimate, coupled_schedule
 from smallforms.cli import (
     RunConfig,
+    build_parser,
     config_from_args,
     emit_plot_data,
     main,
@@ -17,7 +22,9 @@ from smallforms.cli import (
     run,
 )
 from smallforms.errors import PreconditionError
-from smallforms.measure import ExperimentReport
+from smallforms.functions import ApproximatingFunction, DimensionFunction, OmegaFunction
+from smallforms.manifold import sample_gamma_points
+from smallforms.measure import ExperimentReport, estimate_E_t
 
 
 def run_capture(argv):
@@ -55,6 +62,28 @@ class TestSpecGrammar:
             with pytest.raises(PreconditionError):
                 parse_psi(bad)
 
+    @pytest.mark.parametrize("parse, spec", [
+        (parse_psi, "pow:1,2,3"), (parse_psi, "powlog:1,2,3,4"),
+        (parse_f, "pow:1,2"), (parse_omega, "pow:1,2,3"),
+    ])
+    def test_extra_parameter_rejected(self, parse, spec):
+        # a surplus float must not reach an optional keyword such as strict=
+        with pytest.raises(PreconditionError):
+            parse(spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 10), st.floats(0, 5))
+    def test_psi_spec_round_trip(self, c, tau, kappa):
+        for psi in (ApproximatingFunction.power(c, tau),
+                    ApproximatingFunction.power_log(c, tau, kappa)):
+            assert parse_psi(psi.spec()) == psi
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-3, 10), st.floats(-5, 5))
+    def test_f_spec_round_trip(self, s, kappa):
+        for f in (DimensionFunction.power(s), DimensionFunction.power_log(s, kappa)):
+            assert parse_f(f.spec()) == f
+
 
 class TestRunConfig:
     def test_round_trip(self):
@@ -63,6 +92,26 @@ class TestRunConfig:
              "--N-schedule", "2,4,8", "--Q", "64", "--samples", "500", "--seed", "9"]
         )
         assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("argv, given", [
+        (["search", "--X", "0.5,0.25", "--Q", "2"], {"x_entries": (0.5, 0.25), "q_max": 2}),
+        (["dirichlet", "--X", "0.5,0.25", "--t", "3"], {"x_entries": (0.5, 0.25), "t": 3}),
+        (["obstruction", "--X", "0.5,0,0,0.5", "--psi", "pow:1,2"],
+         {"x_entries": (0.5, 0.0, 0.0, 0.5), "psi": "pow:1,2"}),
+        (["series", "verdict"], {"mode": "verdict"}),
+        (["dimension", "--tau", "2"], {"tau": 2.0}),
+        (["measure", "e-t"], {"mode": "e-t"}),
+        (["boxdim", "--tau", "2"], {"tau": 2.0}),
+        (["manifold", "eta"], {"mode": "eta"}),
+    ], ids=["search", "dirichlet", "obstruction", "series", "dimension", "measure", "boxdim",
+            "manifold"])
+    def test_defaults_come_from_run_config(self, argv, given, monkeypatch):
+        # only --threads and manifold --samples default in the parser
+        monkeypatch.setenv("SMALLFORMS_THREADS", "2")
+        kept = {"threads": 2, **({"samples": 2000} if argv[0] == "manifold" else {})}
+        ns = vars(build_parser().parse_args(argv))
+        assert set(ns) == {"subcommand", *given, *kept}
+        assert config_from_args(argv) == RunConfig(argv[0], **given, **kept)
 
     def test_stochastic_requires_seed(self):
         cfg = config_from_args(
@@ -238,6 +287,18 @@ class TestDispatch:
               "--beta", "0", "--k", "nan", "--horizon", "65536"]),
         ({}, ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1", "--alpha", "nan",
               "--beta", "0", "--horizon", "65536"]),
+        ({}, ["measure", "e-t", "--m", "3", "--t", "4", "--samples", "10", "--seed", "-1"]),
+        ({}, ["measure", "dichotomy", "--psi", "pow:1,2", "--N-schedule", "2", "--Q", "8",
+              "--samples", "10", "--seed", "-3"]),
+        ({}, ["manifold", "gamma-dichotomy", "--m", "2", "--n", "2", "--psi", "pow:1,1",
+              "--N-schedule", "2", "--Q", "8", "--samples", "10", "--seed", "-1"]),
+        ({}, ["manifold", "certify", "--m", "2", "--n", "2", "--psi", "pow:1,1", "--seed", "-1"]),
+        ({}, ["measure", "delta-t", "--psi", "pow:1,2,3", "--t", "3", "--samples", "10",
+              "--seed", "1"]),
+        ({}, ["measure", "dichotomy", "--psi", "powlog:1,2,3,4", "--N-schedule", "2", "--Q", "8",
+              "--samples", "10", "--seed", "1"]),
+        ({}, ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1", "--alpha", "1",
+              "--beta", "0", "--horizon", "0"]),
     ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
             "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
             "dichotomy-no-psi", "threads-env-not-int", "search-X-nan",
@@ -247,12 +308,33 @@ class TestDispatch:
             "e-t-omega-scale-inf", "ubiquity-ball-radius-nan", "ubiquity-ball-center-nan",
             "psi-tau-inf", "psi-kappa-nan", "psi-c-inf", "psi-power-log-increasing",
             "search-Q-0", "dirichlet-t-0", "certify-Q-0", "dimension-tau-inf",
-            "dimension-tau-nan", "equivalence-k-nan", "equivalence-alpha-nan"])
+            "dimension-tau-nan", "equivalence-k-nan", "equivalence-alpha-nan",
+            "e-t-seed-negative", "dichotomy-seed-negative", "gamma-seed-negative",
+            "certify-seed-negative", "psi-pow-three-parameters", "psi-powlog-four-parameters",
+            "equivalence-horizon-0"])
     def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         assert main(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_seed_is_a_precondition(self):
+        with pytest.raises(PreconditionError):
+            estimate_E_t(2, 1, OmegaFunction.power(1), 3, samples=10, seed=-1)
+        with pytest.raises(PreconditionError):
+            sample_gamma_points(2, 2, 1, -1)
+
+    @pytest.mark.parametrize("argv", [
+        ["boxdim", "--m", "2", "--n", "1", "--tau", "2", "--levels", "4,5,6,7"],
+        ["measure", "e-t", "--m", "2", "--t", "3", "--samples", "10", "--seed", "1"],
+        ["manifold", "eta", "--m", "2", "--n", "2", "--seed", "1"],
+    ], ids=["boxdim", "e-t", "eta"])
+    def test_unwritable_out_exits_2(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main(argv + ["--out", str(blocker)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_budget_exit_code(self):
         code, _ = run_capture(
@@ -280,6 +362,96 @@ class TestDispatch:
 
     def test_main_handles_bad_argv(self):
         assert main(["no-such-command"]) == 2
+
+
+def _pick(valid, invalid):
+    """Mostly valid values, so that most runs get past the argument checks."""
+    return st.sampled_from(valid * 6 + invalid)
+
+
+_PSI = _pick(("pow:1,2", "pow:0.5,1.5", "powlog:1,2,1", "pow:1,1", "pow:1,0.5"),
+             ("pow:1,-1", "pow:1,2,3", "powlog:1,2,3,4", "pow:inf,2", "pw:1,2", "pow:", "pow:1,6"))
+_F = _pick(("pow:2", "pow:1", "powlog:1,1"), ("pow:1,2", "pow:-1", "table:x"))
+_OMEGA = _pick(("pow:1", "pow:0.5,2"), ("pow:1,2,3", "pow:nan", "pow:0", "x"))
+_REAL = _pick(("1", "2", "0.5", "1.5", "3"), ("0", "-1", "nan", "inf"))
+_ENTRY = _pick(("0", "0.5", "-0.3", "0.25", "0.125", "-0.5"), ("0.7", "nan", "x"))
+_Q = _pick(("1", "2", "5", "16"), ("0", "-1"))
+_T = _pick(("1", "2", "4", "8"), ("0", "-1"))
+_SAMPLES = _pick(("1", "7", "33", "64"), ("0", "-1"))
+_SEED = st.sampled_from(("0", "1", "7", "-1", "-3"))
+_N_SCHEDULE = _pick(("1", "2,4", "2,4,8", "4,16"), ("0", "-1,2", "", "x"))
+_T_SCHEDULE = _pick(("2", "3,5", "2,4,8"), ("0", "", "x"))
+_LEVELS = _pick(("3,4,5,6", "1,2,3,4,5,6", "2,3,4,5"),
+                ("", "4,5,6", "4,4,5,6", "6,5,4,3", "-1,0,1,2"))
+# subcommand -> (positional modes, options always given, options given or
+# not); a None strategy is a bare flag.  Required options are always given,
+# and so are those whose defaults would make a run large.
+_FUZZ = {
+    "search": ((), {"--Q": _Q},
+               {"--psi": _PSI, "--max-witnesses": _pick(("1", "4"), ("0", "-1")),
+                "--no-pruning": None}),
+    "dirichlet": ((), {"--t": _T}, {}),
+    "obstruction": ((), {"--psi": _PSI}, {}),
+    "series": (("classify", "verdict", "dimension", "omega", "equivalence"),
+               {"--horizon": _pick(("64", "4096"), ("0", "-1"))},
+               {"--psi": _PSI, "--f": _F, "--tau": _REAL, "--alpha": _REAL, "--beta": _REAL,
+                "--k": _REAL}),
+    "dimension": ((), {"--tau": _REAL}, {}),
+    "measure": (("delta-t", "e-t", "ubiquity", "dichotomy"),
+                {"--samples": _SAMPLES, "--seed": _SEED, "--psi": _PSI, "--t": _T,
+                 "--N-schedule": _N_SCHEDULE, "--Q": _Q},
+                {"--omega": _OMEGA, "--t-schedule": _T_SCHEDULE, "--k": _REAL,
+                 "--ball-center": _pick(("0,0", "0.125,0.125,0.125"), ("nan,0", "0.7,0", "")),
+                 "--ball-radius": _REAL}),
+    "boxdim": ((), {"--tau": _REAL, "--levels": _LEVELS}, {"--band-ratio": _REAL}),
+    "manifold": (("eta", "certify", "gamma-dichotomy"),
+                 {"--samples": _SAMPLES, "--seed": _SEED, "--psi": _PSI},
+                 {"--N-schedule": _N_SCHEDULE, "--Q": _Q}),
+}
+
+
+@st.composite
+def _argv(draw, name, outs):
+    modes, always, sometimes = _FUZZ[name]
+    m = draw(_pick((1, 2, 3), (0,)))
+    n = draw(_pick((m, 3) if name == "manifold" else (1, 2, 3), (0,)))
+    argv = ["--threads", draw(st.sampled_from(("1", "2"))), name]
+    if modes:
+        argv.append(draw(st.sampled_from(modes)))
+    argv += ["--m", str(m), "--n", str(n),
+             "--format", draw(_pick(("json", "csv", "both"), ("xml",)))]
+    if name in ("search", "dirichlet", "obstruction"):
+        size = max(m * n + draw(_pick((0, 0), (-1, 1))), 0)  # now and then one off
+        argv.append("--X=" + ",".join(draw(st.lists(_ENTRY, min_size=size, max_size=size))))
+    for flag, values in always.items():
+        argv += [flag, draw(values)]
+    for flag, values in sometimes.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(outs))]
+    return argv
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def outs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        (root / "file").write_text("", encoding="utf-8")
+        return [str(root / "out"), str(root / "file")]
+
+    # fixed examples keep the suite reproducible; the strategies reach every
+    # subcommand, negative seeds and an --out that is a regular file
+    @pytest.mark.parametrize("name", sorted(_FUZZ))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_code_is_0_2_or_3(self, name, outs, data):
+        argv = data.draw(_argv(name, outs))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestEmitPlotData:
