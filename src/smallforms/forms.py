@@ -119,9 +119,10 @@ class Witness:
     value: float
 
     def __post_init__(self):
-        q_arr = _int_vector(self.q)
-        object.__setattr__(self, "q", tuple(int(v) for v in q_arr))
-        if self.height != int(np.max(np.abs(q_arr))):
+        # a nonzero tuple of Python ints, as the search builds it, is kept as it is
+        if not (type(self.q) is tuple and all(type(v) is int for v in self.q) and any(self.q)):
+            object.__setattr__(self, "q", tuple(int(v) for v in _int_vector(self.q)))
+        if self.height != max(map(abs, self.q)):
             raise PreconditionError("stored height disagrees with |q|_inf")
         if self.value < 0:
             raise PreconditionError("form value is non-negative")

@@ -208,6 +208,8 @@ class DimensionFunction:
     def __post_init__(self):
         if self.family not in ("power", "powerlog"):
             raise PreconditionError(f"unknown f family {self.family!r}")
+        if not (math.isfinite(self.s) and math.isfinite(self.kappa)):
+            raise PreconditionError("f parameters s and kappa must be finite")
         if self.s < 0:
             raise PreconditionError("f exponent s must be >= 0")
         if self.family == "power" and self.kappa != 0.0:
@@ -237,34 +239,26 @@ class DimensionFunction:
 
     # -- exact behaviour of r**(-b) * f(r) as r -> 0+ -----------------------
 
-    def _exponents(self):
-        return _as_fraction(self.s), _as_fraction(self.kappa)
+    def _decay(self, b=0) -> int:
+        """(s - b, -kappa) against (0, 0) in lexicographic order: 1 where
+        r**(-b) * f(r) -> 0, 0 where it is constant, -1 where it blows up."""
+        key = (_as_fraction(self.s) - _as_fraction(b), -_as_fraction(self.kappa))
+        return (key > (0, 0)) - (key < (0, 0))
 
     def vanishes_at_zero(self) -> bool:
-        s, k = self._exponents()
-        return s > 0 or (s == 0 and k < 0)
+        return self._decay() > 0
 
     def scaled_limit(self, b) -> str:
         """Limit of r**(-b) * f(r) at 0+: 'zero', 'constant' or 'infinity'."""
-        s, k = self._exponents()
-        e = s - _as_fraction(b)
-        if e > 0 or (e == 0 and k < 0):
-            return "zero"
-        if e == 0 and k == 0:
-            return "constant"
-        return "infinity"
+        return ("infinity", "constant", "zero")[self._decay(b) + 1]
 
     def scaled_increasing(self, b) -> bool:
         """True when r**(-b) * f(r) is (weakly) increasing in r near 0."""
-        s, k = self._exponents()
-        e = s - _as_fraction(b)
-        return e > 0 or (e == 0 and k <= 0)
+        return self._decay(b) >= 0
 
     def scaled_decreasing(self, b) -> bool:
         """True when r**(-b) * f(r) is (weakly) decreasing in r near 0."""
-        s, k = self._exponents()
-        e = s - _as_fraction(b)
-        return e < 0 or (e == 0 and k >= 0)
+        return self._decay(b) <= 0
 
     def scaled(self, b) -> "DimensionFunction":
         """The transform r -> r**(-b) * f(r) as a new family member.

@@ -30,7 +30,7 @@ from .functions import ApproximatingFunction, DimensionFunction
 from .measure import (_cutoff_schedule, _seed_sequence, _seeded_source, _tail_reports,
                       batch_has_witness)
 from .search import SearchBudget, witnesses
-from .series import criterion_terms, _first_valid_r
+from .series import criterion_terms, _first_valid_r, _heights
 
 __all__ = [
     "EmbeddingInput",
@@ -320,7 +320,7 @@ def constant_absorption_check(m, n, f: DimensionFunction, psi: ApproximatingFunc
     c1 = float(c) ** (-sheet)
     psi_scaled = psi.scaled(1.0 / c)
     r0 = max(_first_valid_r(f, psi.big_psi), _first_valid_r(f, psi_scaled.big_psi))
-    r = np.arange(r0, horizon + 1, dtype=float)
+    r = _heights(r0, horizon)
     sums = np.cumsum(criterion_terms(m, n, f, psi, r))
     sums_c = np.cumsum(criterion_terms(m, n, f, psi_scaled, r))
     idx = np.unique(np.geomspace(1, len(r), 32).astype(int)) - 1

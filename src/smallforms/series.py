@@ -3,12 +3,18 @@ step-weight construction used on the divergence side.
 
 Everything revolves around the criterion sum with general term
 
-    u(r) = f(Psi(r)) * Psi(r)**(-(m-1)n) * r**(m-1),      Psi(r) = psi(r)/r.
+    u(r) = f(Psi(r)) * Psi(r)**(-(m-1)n) * r**(m-1),      Psi(r) = psi(r)/r,
+
+evaluated through f itself.  :func:`verdict` states the dichotomy once: a
+convergent sum gives f-content zero, a divergent one that of the reference
+set, read off the limit of r**(-D) f(r) at 0+: the cube (D = mn) for m > n,
+the rank <= m-1 variety (D = (m-1)(n+1)) for 2 <= m <= n.
 
 For the power or power-log families the term collapses to r**E * (log r)**K
 with exactly computable rational exponents, so convergence is decided in
 closed form; explicit tables only get a clearly-flagged partial-sum
-heuristic.
+heuristic.  Numeric sums stop with :class:`BudgetExceededError` past
+``_TERM_BUDGET`` heights or where a term leaves the float range.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HorizonTooSmallError, PreconditionError
-from .functions import ApproximatingFunction, DimensionFunction, StepOmega
+from .errors import BudgetExceededError, HorizonTooSmallError, PreconditionError
+from .functions import ApproximatingFunction, DimensionFunction, StepOmega, _as_fraction
 
 __all__ = [
     "SeriesBehavior",
@@ -35,8 +41,8 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+# the most heights one partial sum runs over: 32 times the default horizon
+_TERM_BUDGET = 1 << 25
 
 
 def _check_mn(m, n):
@@ -80,17 +86,20 @@ def criterion_terms(m, n, f: DimensionFunction, psi: ApproximatingFunction, r):
     _check_mn(m, n)
     r_arr = np.asarray(r, dtype=float)
     big_psi = psi.big_psi(r_arr)
-    gamma = (m - 1) * n
-    if f.family == "power":
-        fpsi = big_psi ** f.s
-    else:
-        if np.any(big_psi >= 1):
-            raise PreconditionError(
-                "power-log f undefined at Psi(r) >= 1; start the sum at larger r"
-            )
-        fpsi = big_psi ** f.s * np.log(1.0 / big_psi) ** f.kappa
-    out = fpsi * big_psi ** (-gamma) * r_arr ** (m - 1)
+    if np.any(big_psi == 0):
+        raise BudgetExceededError("Psi(r) underflows to 0: the criterion terms leave the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f(big_psi) * big_psi ** (-(m - 1) * n) * r_arr ** (m - 1)
+    if not np.all(np.isfinite(out)):
+        raise BudgetExceededError("a criterion term leaves the float range")
     return float(out) if np.ndim(r) == 0 else out
+
+
+def _heights(r0, horizon):
+    """The summed heights r0, ..., horizon as floats, within the term budget."""
+    if horizon > _TERM_BUDGET:
+        raise BudgetExceededError(f"horizon {horizon} exceeds the term budget {_TERM_BUDGET}")
+    return np.arange(r0, horizon + 1, dtype=float)
 
 
 def _first_valid_r(f, g, limit=1 << 12):
@@ -122,10 +131,10 @@ def classify_series(m, n, f: DimensionFunction, psi: ApproximatingFunction,
     _check_mn(m, n)
     gamma = (m - 1) * n
     if psi.closed_form:
-        s = _frac(f.s)
-        kf = _frac(f.kappa)
-        tau = _frac(psi.tau)
-        kp = _frac(psi.kappa) if psi.family == "powerlog" else Fraction(0)
+        s = _as_fraction(f.s)
+        kf = _as_fraction(f.kappa)
+        tau = _as_fraction(psi.tau)
+        kp = _as_fraction(psi.kappa) if psi.family == "powerlog" else Fraction(0)
         excess = s - gamma
         e_exp = (m - 1) - (tau + 1) * excess
         k_exp = kf - kp * excess
@@ -134,8 +143,7 @@ def classify_series(m, n, f: DimensionFunction, psi: ApproximatingFunction,
 
     # table psi: compare partial-sum increments on doubling windows
     r0 = _first_valid_r(f, psi.big_psi)
-    r_vals = np.arange(r0, horizon + 1, dtype=float)
-    partial = np.cumsum(criterion_terms(m, n, f, psi, r_vals))
+    partial = np.cumsum(criterion_terms(m, n, f, psi, _heights(r0, horizon)))
     checkpoints = [partial[min(len(partial), (horizon >> k)) - 1] for k in (2, 1, 0)]
     inc_old = checkpoints[1] - checkpoints[0]
     inc_new = checkpoints[2] - checkpoints[1]
@@ -153,6 +161,18 @@ def classify_series(m, n, f: DimensionFunction, psi: ApproximatingFunction,
 # ---------------------------------------------------------------------------
 
 _TAGS = ("zero", "full-lebesgue", "infinite-hf", "hf-of-gamma", "singleton")
+
+# (case, limit of r^-D f at 0+) -> the tag and the close of the justification
+# on the divergence side; D = mn if m > n (independent), else (m-1)(n+1)
+_DIVERGENT = {
+    ("independent", "infinity"): ("infinite-hf", " and the ambient f-content is infinite"),
+    ("independent", "constant"): ("full-lebesgue", "; f is the ambient volume gauge so the set "
+                                  "has full Lebesgue measure"),
+    ("independent", "zero"): ("zero", " but the ambient f-content itself vanishes"),
+    ("dependent", "infinity"): ("infinite-hf", " and r^(-(m-1)(n+1)) f(r) -> infinity"),
+    ("dependent", "constant"): ("hf-of-gamma", " and f is comparable to the variety's volume "
+                                "gauge; the set fills the rank-deficient variety"),
+}
 
 
 @dataclass(frozen=True)
@@ -172,12 +192,13 @@ class Verdict:
 def verdict(m, n, f: DimensionFunction, psi: ApproximatingFunction) -> Verdict:
     """Measure-class verdict for the psi-approximable set under the gauge f.
 
-    m = 1 collapses to a singleton.  For m > n the independent-case dichotomy
-    applies (zero vs full ambient f-content); for 2 <= m <= n the set lives on
-    the rank-deficient variety and the divergence side splits on the limit of
-    r^(-(m-1)(n+1)) f(r): infinite f-content vs the f-content of the variety.
-    Side-condition violations raise :class:`PreconditionError` naming the
-    failing condition.
+    m = 1 collapses to a singleton.  Otherwise one path serves both cases:
+    the side condition, then the series, then on divergence the limit of
+    r^-D f(r) looked up in ``_DIVERGENT``.  For m > n (D = mn) the set has zero,
+    full Lebesgue or infinite ambient f-content; for 2 <= m <= n it lives on
+    the rank-deficient variety (D = (m-1)(n+1)), with infinite f-content or
+    that of the variety.  Side-condition violations, and a limit of 0 in the
+    dependent case, raise :class:`PreconditionError` naming the condition.
     """
     _check_mn(m, n)
     if m == 1:
@@ -186,81 +207,29 @@ def verdict(m, n, f: DimensionFunction, psi: ApproximatingFunction) -> Verdict:
             "m = 1: |q x_j| < psi(|q|) infinitely often forces x = 0; "
             "the set is a single point with zero measure and dimension",
         )
-    gamma = (m - 1) * n
-    ambient = m * n
-    sheet = (m - 1) * (n + 1)
-
-    checks = {}
-    if m > n:
-        checks["r^-(m-1)n f increasing"] = f.scaled_increasing(gamma)
-        if not checks["r^-(m-1)n f increasing"]:
-            raise PreconditionError("side condition failed: r^(-(m-1)n) f(r) must be increasing")
-        behavior = classify_series(m, n, f, psi)
-        if behavior.convergent:
-            return Verdict("zero", "independent case, criterion sum converges", behavior, checks)
-        limit = f.scaled_limit(ambient)
-        checks["limit of r^-mn f"] = limit
-        if limit == "infinity":
-            return Verdict(
-                "infinite-hf",
-                "independent case, criterion sum diverges and the ambient f-content is infinite",
-                behavior,
-                checks,
-            )
-        if limit == "constant":
-            return Verdict(
-                "full-lebesgue",
-                "independent case, criterion sum diverges; f is the ambient volume gauge "
-                "so the set has full Lebesgue measure",
-                behavior,
-                checks,
-            )
-        return Verdict(
-            "zero",
-            "independent case, criterion sum diverges but the ambient f-content itself vanishes",
-            behavior,
-            checks,
-        )
-
-    # 2 <= m <= n: the set lies on the rank <= m-1 variety
-    checks["r^-(m-1)n f increasing"] = f.scaled_increasing(gamma)
+    case, dim, limit_key = (("independent", m * n, "limit of r^-mn f") if m > n
+                            else ("dependent", (m - 1) * (n + 1), "limit of r^-(m-1)(n+1) f"))
+    # the dependent case's other condition, r^(-(n-m+1)(m-1)) f a dimension
+    # function, follows: its exponent is s - (m-1)n + (m-1)^2 >= 1 once this holds
+    checks = {"r^-(m-1)n f increasing": f.scaled_increasing((m - 1) * n)}
     if not checks["r^-(m-1)n f increasing"]:
         raise PreconditionError("side condition failed: r^(-(m-1)n) f(r) must be increasing")
-    try:
-        f.scaled((n - m + 1) * (m - 1))
-    except PreconditionError as exc:
-        raise PreconditionError(
-            "side condition failed: r^(-(n-m+1)(m-1)) f(r) must itself be a dimension function"
-        ) from exc
     behavior = classify_series(m, n, f, psi)
     if behavior.convergent:
-        return Verdict("zero", "dependent case, criterion sum converges", behavior, checks)
-    limit = f.scaled_limit(sheet)
-    checks["limit of r^-(m-1)(n+1) f"] = limit
-    if limit == "infinity":
-        return Verdict(
-            "infinite-hf",
-            "dependent case, criterion sum diverges and r^(-(m-1)(n+1)) f(r) -> infinity",
-            behavior,
-            checks,
+        return Verdict("zero", f"{case} case, criterion sum converges", behavior, checks)
+    checks[limit_key] = f.scaled_limit(dim)
+    if (case, checks[limit_key]) not in _DIVERGENT:
+        raise PreconditionError(
+            "side condition failed: r^(-(m-1)(n+1)) f(r) -> 0 is outside the dichotomy"
         )
-    if limit == "constant":
-        return Verdict(
-            "hf-of-gamma",
-            "dependent case, criterion sum diverges and f is comparable to the variety's "
-            "volume gauge; the set fills the rank-deficient variety",
-            behavior,
-            checks,
-        )
-    raise PreconditionError(
-        "side condition failed: r^(-(m-1)(n+1)) f(r) -> 0 is outside the dichotomy"
-    )
+    tag, reason = _DIVERGENT[case, checks[limit_key]]
+    return Verdict(tag, f"{case} case, criterion sum diverges{reason}", behavior, checks)
 
 
 def dimension_formula_exact(m, n, tau) -> Fraction:
     """Exact rational form of :func:`dimension_formula` (tau rational)."""
     _check_mn(m, n)
-    tau = _frac(tau)
+    tau = _as_fraction(tau)
     if tau <= 0:
         raise PreconditionError("tau must be positive")
     if m == 1:
@@ -300,10 +269,8 @@ def build_omega(m, n, f: DimensionFunction, psi: ApproximatingFunction,
     if horizon < 8:
         raise HorizonTooSmallError("horizon too small to build blocks")
     r0 = _first_valid_r(f, psi.big_psi)
-    r_vals = np.arange(1, horizon + 1, dtype=float)
-    terms = np.zeros(horizon)
-    terms[r0 - 1 :] = criterion_terms(m, n, f, psi, r_vals[r0 - 1 :])
-    cum = np.concatenate([[0.0], np.cumsum(terms)])  # cum[r] = sum_{1..r}
+    terms = criterion_terms(m, n, f, psi, _heights(r0, horizon))
+    cum = np.concatenate([np.zeros(r0), np.cumsum(terms)])  # cum[r] = sum_{1..r}
 
     breakpoints = [1]
     while True:
@@ -355,7 +322,7 @@ def sum_equivalence_check(alpha, beta, psi: ApproximatingFunction,
         raise HorizonTooSmallError("horizon admits fewer than 4 dyadic checkpoints")
 
     r0 = _first_valid_r(f, psi)
-    r_vals = np.arange(r0, horizon + 1, dtype=float)
+    r_vals = _heights(r0, horizon)
     linear_terms = r_vals ** (alpha - 1) * f(psi(r_vals)) * psi(r_vals) ** beta
     linear_cum = np.cumsum(linear_terms)
 

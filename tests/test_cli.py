@@ -299,6 +299,12 @@ class TestDispatch:
               "--samples", "10", "--seed", "1"]),
         ({}, ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1", "--alpha", "1",
               "--beta", "0", "--horizon", "0"]),
+        ({}, ["series", "verdict", "--m", "3", "--n", "1", "--psi", "pow:1,2", "--f", "pow:inf"]),
+        ({}, ["series", "classify", "--m", "3", "--n", "1", "--psi", "pow:1,2", "--f", "pow:inf"]),
+        ({}, ["series", "omega", "--m", "3", "--n", "1", "--psi", "pow:1,2",
+              "--f", "powlog:1,inf"]),
+        ({}, ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1e400", "--alpha", "1",
+              "--beta", "0"]),
     ], ids=["e-t-samples-0", "e-t-samples-negative", "dichotomy-samples-0",
             "gamma-samples-0", "dichotomy-no-Q", "gamma-no-Q", "delta-t-no-psi",
             "dichotomy-no-psi", "threads-env-not-int", "search-X-nan",
@@ -311,7 +317,8 @@ class TestDispatch:
             "dimension-tau-nan", "equivalence-k-nan", "equivalence-alpha-nan",
             "e-t-seed-negative", "dichotomy-seed-negative", "gamma-seed-negative",
             "certify-seed-negative", "psi-pow-three-parameters", "psi-powlog-four-parameters",
-            "equivalence-horizon-0"])
+            "equivalence-horizon-0", "verdict-f-inf", "classify-f-inf",
+            "omega-f-kappa-inf", "equivalence-f-1e400"])
     def test_bad_input_exits_2(self, env, argv, monkeypatch, capsys):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -360,6 +367,20 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "double precision" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "omega", "--m", "2", "--n", "1", "--psi", "pow:1,1", "--f", "pow:2",
+         "--horizon", "10000000000000"],
+        ["series", "equivalence", "--psi", "pow:1,2", "--f", "pow:1", "--alpha", "1",
+         "--beta", "0", "--horizon", "10000000000000"],
+        ["series", "omega", "--m", "2", "--n", "1", "--psi", "pow:1,400", "--f", "pow:0.5",
+         "--horizon", "1000"],
+    ], ids=["omega-horizon-huge", "equivalence-horizon-huge", "omega-psi-underflow"])
+    def test_series_budget_exit_code(self, argv, capsys):
+        # a horizon over the term budget, or a Psi that underflows to 0
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("budget error: ") and err.count("\n") == 1
+
     def test_main_handles_bad_argv(self):
         assert main(["no-such-command"]) == 2
 
@@ -371,7 +392,7 @@ def _pick(valid, invalid):
 
 _PSI = _pick(("pow:1,2", "pow:0.5,1.5", "powlog:1,2,1", "pow:1,1", "pow:1,0.5"),
              ("pow:1,-1", "pow:1,2,3", "powlog:1,2,3,4", "pow:inf,2", "pw:1,2", "pow:", "pow:1,6"))
-_F = _pick(("pow:2", "pow:1", "powlog:1,1"), ("pow:1,2", "pow:-1", "table:x"))
+_F = _pick(("pow:2", "pow:1", "powlog:1,1"), ("pow:1,2", "pow:-1", "table:x", "pow:inf"))
 _OMEGA = _pick(("pow:1", "pow:0.5,2"), ("pow:1,2,3", "pow:nan", "pow:0", "x"))
 _REAL = _pick(("1", "2", "0.5", "1.5", "3"), ("0", "-1", "nan", "inf"))
 _ENTRY = _pick(("0", "0.5", "-0.3", "0.25", "0.125", "-0.5"), ("0.7", "nan", "x"))
@@ -393,7 +414,7 @@ _FUZZ = {
     "dirichlet": ((), {"--t": _T}, {}),
     "obstruction": ((), {"--psi": _PSI}, {}),
     "series": (("classify", "verdict", "dimension", "omega", "equivalence"),
-               {"--horizon": _pick(("64", "4096"), ("0", "-1"))},
+               {"--horizon": _pick(("64", "4096"), ("0", "-1", "10000000000000"))},
                {"--psi": _PSI, "--f": _F, "--tau": _REAL, "--alpha": _REAL, "--beta": _REAL,
                 "--k": _REAL}),
     "dimension": ((), {"--tau": _REAL}, {}),

@@ -133,6 +133,20 @@ class TestWitnessRecord:
         with pytest.raises(PreconditionError):
             Witness((1, -2), 3, 0.0)
 
+    @pytest.mark.parametrize("q", [(3, -4), (np.int64(3), -4), np.array([3, -4]), (3.0, -4.0),
+                                   [3, -4]], ids=["ints", "numpy-int", "array", "floats", "list"])
+    def test_integral_q_is_stored_as_python_ints(self, q):
+        w = Witness(q, 4, 0.5)
+        assert w.q == (3, -4) and all(type(v) is int for v in w.q)
+
+    @pytest.mark.parametrize("q, height, message", [
+        ((1.5, 2), 2, "integer entries"), ((0, 0), 0, "nonzero"), (((1, 2),), 2, "flat"),
+        ((), 0, "nonzero"), ((1, 2), 3, "height"), ((0.0, 0.0), 0, "nonzero"),
+    ], ids=["fraction", "zero", "nested", "empty", "wrong-height", "zero-floats"])
+    def test_bad_q_rejected(self, q, height, message):
+        with pytest.raises(PreconditionError, match=message):
+            Witness(q, height, 0.5)
+
 
 class TestKRegularity:
     def test_geometric_decay(self):

@@ -113,6 +113,30 @@ class TestDimensionFunction:
         f = DimensionFunction.power_log(0.0, -2.0)
         assert f(0.01) < f(0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: DimensionFunction.power(math.inf),
+        lambda: DimensionFunction.power(1e400),
+        lambda: DimensionFunction.power(math.nan),
+        lambda: DimensionFunction.power_log(1.0, math.inf),
+        lambda: DimensionFunction.power_log(1.0, -math.inf),
+        lambda: DimensionFunction.power_log(math.nan, 1.0),
+    ], ids=["s-inf", "s-1e400", "s-nan", "kappa-inf", "kappa-minus-inf", "s-nan-powerlog"])
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises(PreconditionError, match="must be finite"):
+            make()
+
+    @pytest.mark.parametrize("s, kappa, b, limit", [
+        (2, 0, 2, "constant"), (2, 0, 1, "zero"), (2, 0, 3, "infinity"),
+        (2, -1, 2, "zero"), (2, 1, 2, "infinity"), (2.5, 7, 2, "zero"), (1.5, -7, 2, "infinity"),
+    ])
+    def test_predicates_read_one_decay_order(self, s, kappa, b, limit):
+        # (s - b, -kappa) against (0, 0) lexicographically decides all four
+        f = DimensionFunction.power_log(s, kappa) if kappa else DimensionFunction.power(s)
+        assert f.scaled_limit(b) == limit
+        assert f.scaled_increasing(b) == (limit != "infinity")
+        assert f.scaled_decreasing(b) == (limit != "zero")
+        assert f.vanishes_at_zero() == (f.scaled_limit(0) == "zero")
+
     def test_scaled_limit_classification(self):
         f = DimensionFunction.power(2.0)
         assert f.scaled_limit(2) == "constant"

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from smallforms import (
     ApproximatingFunction,
+    BudgetExceededError,
     DimensionFunction,
     HorizonTooSmallError,
     PreconditionError,
@@ -14,7 +16,9 @@ from smallforms import (
     sum_equivalence_check,
     verdict,
 )
-from smallforms.series import _first_valid_r, criterion_terms, dimension_formula_exact
+from smallforms.manifold import constant_absorption_check
+from smallforms.series import (_TERM_BUDGET, _first_valid_r, _heights, criterion_terms,
+                               dimension_formula_exact)
 
 
 def psi_pow(tau, c=1.0):
@@ -128,6 +132,105 @@ class TestVerdict:
     def test_justification_present(self):
         v = verdict(3, 2, DimensionFunction.power(5), psi_pow(0.4))
         assert v.justification
+
+
+_INC = "r^-(m-1)n f increasing"
+_POW, _LOG = DimensionFunction.power, DimensionFunction.power_log
+
+
+class TestVerdictTable:
+    """Every outcome of the dichotomy, pinned: tag, justification, side conditions."""
+
+    @pytest.mark.parametrize("m, n, f, psi, tag, justification, side", [
+        (3, 1, _POW(3), psi_pow(2.5), "zero",
+         "independent case, criterion sum converges", {_INC: True}),
+        (2, 2, _POW(3), psi_pow(2.0), "zero",
+         "dependent case, criterion sum converges", {_INC: True}),
+        (2, 1, _POW(1.5), psi_pow(1.2), "infinite-hf",
+         "independent case, criterion sum diverges and the ambient f-content is infinite",
+         {_INC: True, "limit of r^-mn f": "infinity"}),
+        (3, 1, _POW(3), psi_pow(2.0), "full-lebesgue",
+         "independent case, criterion sum diverges; f is the ambient volume gauge so the set "
+         "has full Lebesgue measure", {_INC: True, "limit of r^-mn f": "constant"}),
+        (2, 1, _POW(3), ApproximatingFunction.power_log(1.0, 0.0, 0.5), "zero",
+         "independent case, criterion sum diverges but the ambient f-content itself vanishes",
+         {_INC: True, "limit of r^-mn f": "zero"}),
+        (2, 2, _POW(2.5), psi_pow(0.25), "infinite-hf",
+         "dependent case, criterion sum diverges and r^(-(m-1)(n+1)) f(r) -> infinity",
+         {_INC: True, "limit of r^-(m-1)(n+1) f": "infinity"}),
+        (2, 2, _POW(3), psi_pow(0.5), "hf-of-gamma",
+         "dependent case, criterion sum diverges and f is comparable to the variety's volume "
+         "gauge; the set fills the rank-deficient variety",
+         {_INC: True, "limit of r^-(m-1)(n+1) f": "constant"}),
+        (2, 3, _LOG(4, 1), psi_pow(0.25), "infinite-hf",
+         "dependent case, criterion sum diverges and r^(-(m-1)(n+1)) f(r) -> infinity",
+         {_INC: True, "limit of r^-(m-1)(n+1) f": "infinity"}),
+        (1, 2, _POW(1), psi_pow(3.0), "singleton",
+         "m = 1: |q x_j| < psi(|q|) infinitely often forces x = 0; the set is a single point "
+         "with zero measure and dimension", {}),
+    ], ids=["independent-convergent", "dependent-convergent", "independent-infinite",
+            "full-lebesgue", "independent-vanishing-content", "dependent-infinite", "hf-of-gamma",
+            "dependent-infinite-log", "singleton"])
+    def test_outcome(self, m, n, f, psi, tag, justification, side):
+        v = verdict(m, n, f, psi)
+        assert (v.tag, v.justification) == (tag, justification)
+        assert list(v.side_conditions.items()) == list(side.items())
+        assert (v.series is None) == (tag == "singleton")
+
+    @pytest.mark.parametrize("m, n, f, psi, message", [
+        (2, 1, _POW(0.5), psi_pow(2.0),
+         "side condition failed: r^(-(m-1)n) f(r) must be increasing"),
+        (2, 3, _POW(2), psi_pow(0.25),
+         "side condition failed: r^(-(m-1)n) f(r) must be increasing"),
+        (2, 2, _POW(3.5), psi_pow(0.25),
+         "side condition failed: r^(-(m-1)(n+1)) f(r) -> 0 is outside the dichotomy"),
+    ], ids=["independent-side-condition", "dependent-side-condition", "dependent-limit-zero"])
+    def test_refusal(self, m, n, f, psi, message):
+        with pytest.raises(PreconditionError) as info:
+            verdict(m, n, f, psi)
+        assert str(info.value) == message
+
+
+class TestFloatRange:
+    """Sums over too many heights, and terms outside the float range, are
+    budget errors (exit 3), not arrays too large to allocate or NaNs."""
+
+    def test_term_budget(self):
+        assert _heights(_TERM_BUDGET, _TERM_BUDGET).tolist() == [_TERM_BUDGET]
+        with pytest.raises(BudgetExceededError):
+            _heights(_TERM_BUDGET + 1, _TERM_BUDGET + 1)
+
+    def test_huge_horizon_refused_before_allocation(self):
+        # 10^13 heights would be a 73 TiB array: numpy's MemoryError if unchecked
+        f, psi, huge = DimensionFunction.power(2), psi_pow(1.0), 10 ** 13
+        table = ApproximatingFunction.from_table([(1, 1.0), (2, 0.25), (4, 0.015625)])
+        for call in (lambda: build_omega(2, 1, f, psi, huge),
+                     lambda: sum_equivalence_check(1.0, 0.0, psi_pow(2.0), f, 2.0, huge),
+                     lambda: classify_series(2, 1, f, table, huge),
+                     lambda: constant_absorption_check(2, 2, DimensionFunction.power(3), psi,
+                                                       1.5, huge)):
+            with pytest.raises(BudgetExceededError, match="term budget"):
+                call()
+
+    @pytest.mark.parametrize("tau", [400, 200])
+    def test_underflowing_psi(self, tau):
+        # Psi(r) = r^-(tau+1) reaches 0 below the horizon: the block search
+        # used to stop on NaN terms and report 3 or 5 blocks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="underflows"):
+                build_omega(2, 1, DimensionFunction.power(0.5), psi_pow(tau), 1000)
+            with pytest.raises(BudgetExceededError, match="underflows"):
+                constant_absorption_check(2, 2, DimensionFunction.power(3), psi_pow(tau), 1.5,
+                                          1000)
+
+    def test_overflowing_term(self):
+        # Psi^-6 overflows while f(Psi) underflows: 0 * inf is not a term
+        rs = np.arange(1.0, 1001.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="float range"):
+                criterion_terms(3, 3, DimensionFunction.power(7), psi_pow(60.0), rs)
 
 
 class TestDimensionFormula:
