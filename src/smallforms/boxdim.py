@@ -286,21 +286,17 @@ def _gamma_window(level):
     lo = _axis_edges(level)
     hi = lo + delta
 
-    def prod_interval(alo, ahi, blo, bhi):
-        cands = np.stack(
-            [alo[:, None] * blo[None, :], alo[:, None] * bhi[None, :],
-             ahi[:, None] * blo[None, :], ahi[:, None] * bhi[None, :]]
-        )
-        return cands.min(axis=0), cands.max(axis=0)
-
-    # axes (i1, i2, i3, i4) = (x11, x21, x12, x22); det = x11 x22 - x12 x21
-    a_lo, a_hi = prod_interval(lo, hi, lo, hi)     # x11 * x22 over (i1, i4)
-    b_lo, b_hi = prod_interval(lo, hi, lo, hi)     # x12 * x21 over (i3, i2)
+    # axes (i1, i2, i3, i4) = (x11, x21, x12, x22); det = a - b, where
+    # a = x11 x22 over the cells (i1, i4) and b = x12 x21 over (i3, i2) are
+    # read from one table of the product intervals of two axis cells
+    cands = np.stack([lo[:, None] * lo[None, :], lo[:, None] * hi[None, :],
+                      hi[:, None] * lo[None, :], hi[:, None] * hi[None, :]])
+    p_lo, p_hi = cands.min(axis=0), cands.max(axis=0)
     w = len(lo)
 
     def window(i1, i2, i3, i4):
         ka, kb = i1 * w + i4, i3 * w + i2   # flat indices of (i1, i4) and (i3, i2)
-        return (np.take(a_lo, ka) <= np.take(b_hi, kb)) & (np.take(a_hi, ka) >= np.take(b_lo, kb))
+        return (np.take(p_lo, ka) <= np.take(p_hi, kb)) & (np.take(p_hi, ka) >= np.take(p_lo, kb))
 
     return window
 

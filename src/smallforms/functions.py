@@ -84,8 +84,10 @@ class ApproximatingFunction:
             raise PreconditionError("psi parameters c, tau and kappa must be finite")
         if not self.c > 0:
             raise PreconditionError("psi scale c must be positive")
+        if self.family == "power" and self.kappa != 0.0:
+            raise PreconditionError("power family carries no log exponent")
         if self.strict:
-            decays = self.tau > 0 or (self.tau == 0 and self.kappa > 0 and self.family == "powerlog")
+            decays = self.tau > 0 or (self.tau == 0 and self.kappa > 0)
             if not decays:
                 raise PreconditionError(
                     "psi must decrease to 0: need tau > 0 (or tau = 0 with kappa > 0)"
@@ -168,8 +170,7 @@ class ApproximatingFunction:
         """
         if self.family == "table":
             return bool(np.all(np.diff(self.table_v) <= 0))
-        kappa = self.kappa if self.family == "powerlog" else 0.0
-        return self.tau >= 0 and kappa >= -self.tau * _POWERLOG_KAPPA_RATIO
+        return self.tau >= 0 and self.kappa >= -self.tau * _POWERLOG_KAPPA_RATIO
 
     @property
     def closed_form(self) -> bool:

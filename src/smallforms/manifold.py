@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BudgetExceededError, OutOfCubeError, PreconditionError
 from .forms import MatrixPoint, form_value
 from .functions import ApproximatingFunction, DimensionFunction
-from .measure import (_cutoff_schedule, _seed_sequence, _seeded_source, _tail_reports,
+from .measure import (_cutoff_schedule, _estimate, _nested_hits, _seed_sequence, _seeded_source,
                       batch_has_witness)
 from .search import SearchBudget, witnesses
 from .series import criterion_terms, _first_valid_r, _heights
@@ -276,13 +276,12 @@ def gamma_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
     # thread schedule
     source = _seeded_source(samples, seed, lambda rng, size: _sample_eta_batch(rng, size, m, n)[0],
                             batch=1024)
-    return _tail_reports(
-        "gamma-dichotomy", m, n, psi, schedule, q_max, source,
-        lambda xs, lo, hi: batch_has_witness(xs, psi, lo, hi, scale=c),
-        seed, threads,
-        {"c": c, "measure": GAMMA_MEASURE_LABEL},
-        {"schedule": tuple(schedule), "measure": GAMMA_MEASURE_LABEL},
-    )
+    return _estimate(
+        "gamma-dichotomy",
+        {"m": m, "n": n, "psi": psi.spec(), "Q": q_max, "c": c, "measure": GAMMA_MEASURE_LABEL},
+        "N", schedule, source,
+        _nested_hits(m, n, schedule, q_max, batch_has_witness, psi, c), threads,
+        {"schedule": tuple(schedule), "measure": GAMMA_MEASURE_LABEL})
 
 
 # ---------------------------------------------------------------------------

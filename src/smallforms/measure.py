@@ -2,13 +2,18 @@
 unions, plus the deterministic quadrature oracles the estimates are checked
 against.
 
-Every estimator runs one loop.  A point source ``(points, n_batches, make)``
-builds batch i from i alone: seeded draws (uniform, or eta on the variety)
-from child i of ``SeedSequence(master_seed)``, or chunk i of a midpoint grid
-or Kronecker sequence.  The runner ``_run`` has each worker thread build and
-test its own batch, so at most ``threads`` batches are alive at once, and sums
-the counts in batch order, so reports are bit-identical for a fixed master
-seed at any thread count.  Counts below 1 raise :class:`PreconditionError`.
+Every estimator runs one loop.  A point source builds batch i from i alone:
+seeded draws (uniform, or eta on the variety) from child i of
+``SeedSequence(master_seed)``, or chunk i of a midpoint grid or Kronecker
+sequence.  It also records what a report needs to re-run it: the seed of a
+draw, the resolution of a grid (method "midpoint-grid"), the kind and method
+"kronecker" of the sequence.  The runner ``_run`` has each worker thread
+build and test its own batch, so at most ``threads`` batches are alive at
+once, and sums the counts in batch order, so reports are bit-identical for a
+fixed master seed at any thread count.  Counts below 1 raise
+:class:`PreconditionError`.  ``_estimate`` is the one report builder: it
+times the run and returns one report per swept value (t, or the cutoffs N of
+a dichotomy).
 
 Membership in a union of neighborhoods is decided for a stack of samples by
 the lattice engine of :mod:`smallforms.lattice` in ``_box_witness_mask``: is
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -114,45 +120,20 @@ class ExperimentReport:
         return math.sqrt(p * (1.0 - p) / self.samples)
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "seed": self.seed,
-            "samples": self.samples,
-            "hits": self.hits,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "parameter": self.parameter,
-            "parameter_value": self.parameter_value,
-            "duration_s": self.duration_s,
-            "distance_convention": self.distance_convention,
-            "extras": {k: _jsonable(v) for k, v in self.extras.items()},
-        }
+        return _jsonable({**vars(self), "estimate": self.estimate, "stderr": self.stderr})
 
     def csv_row(self) -> tuple:
-        return (
-            self.experiment,
-            self.parameter,
-            repr(self.parameter_value),
-            repr(self.estimate),
-            repr(self.stderr),
-            self.hits,
-            self.samples,
-            self.seed if self.seed is not None else "",
-            self.distance_convention,
-        )
+        return tuple(getattr(self, c) for c in CSV_COLUMNS)
 
 
 def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (tuple, list)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (int, float, str, bool)) or v is None:
-        return v
-    return str(v)
+    if isinstance(v, (np.integer, np.floating)):
+        return v.item()
+    return v if isinstance(v, (int, float, str, bool)) or v is None else str(v)
 
 
 def reports_to_csv_rows(reports):
@@ -178,6 +159,11 @@ def _seed_sequence(seed):
         raise PreconditionError(f"bad seed {seed!r}: {exc}") from exc
 
 
+# ``points`` cut into ``n_batches`` batches, batch i built by ``make(i)`` alone;
+# ``seed``, ``params`` and ``extras`` are what the reports record of the source
+_Source = namedtuple("_Source", "points n_batches make seed params extras")
+
+
 def _seeded_source(samples, seed, draw, batch=_BATCH):
     """Batch i is ``draw(rng, size)`` with rng on child i of SeedSequence(seed)."""
     n_batches = _batch_count(samples, batch)
@@ -187,7 +173,7 @@ def _seeded_source(samples, seed, draw, batch=_BATCH):
         size = min(batch, samples - i * batch)
         return draw(np.random.Generator(np.random.PCG64(children[i])), size)
 
-    return samples, n_batches, make
+    return _Source(samples, n_batches, make, seed, {}, {})
 
 
 def _uniform_draw(dim):
@@ -210,7 +196,8 @@ def _grid_source(dim, res, batch=_BATCH):
             rem = rem // res
         return pts
 
-    return total, _batch_count(total, batch), make
+    return _Source(total, _batch_count(total, batch), make, None, {"resolution": res},
+                   {"method": "midpoint-grid"})
 
 
 _KRONECKER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -228,7 +215,8 @@ def _kronecker_source(dim, count, batch=_BATCH):
         ks = np.arange(i * batch + 1, min((i + 1) * batch, count) + 1, dtype=np.float64)
         return (ks[:, None] * alpha[None, :] + 0.5) % 1.0 - 0.5
 
-    return count, _batch_count(count, batch), make
+    return _Source(count, _batch_count(count, batch), make, None, {"kind": "kronecker"},
+                   {"method": "kronecker"})
 
 
 def _run(source, tester, threads=1):
@@ -238,13 +226,12 @@ def _run(source, tester, threads=1):
     batches are alive at once; counts are merged in batch-index order so
     thread scheduling cannot change the result.  Returns (counts, points).
     """
-    points, n_batches, make = source
     if threads <= 1:
-        parts = [tester(make(i)) for i in range(n_batches)]
+        parts = [tester(source.make(i)) for i in range(source.n_batches)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda i: tester(make(i)), range(n_batches)))
-    return np.sum(np.asarray(parts), axis=0), points
+            parts = list(pool.map(lambda i: tester(source.make(i)), range(source.n_batches)))
+    return np.sum(np.asarray(parts), axis=0), source.points
 
 
 def _cutoff_schedule(n_schedule, q_max):
@@ -255,20 +242,25 @@ def _cutoff_schedule(n_schedule, q_max):
     return schedule
 
 
-def _nested_hits(xs, schedule, q_max, has_witness):
-    """Hit counts per ascending cutoff N, largest N first so that only its
-    misses are retested, on the heights below it; ``has_witness(xs, lo, hi)``
-    masks the samples with a witness of height in [lo, hi]."""
-    counts = np.zeros(len(schedule), dtype=np.int64)
-    found = np.zeros(len(xs), dtype=bool)
-    hi = q_max
-    for i in range(len(schedule) - 1, -1, -1):
-        todo = np.nonzero(~found)[0]
-        if todo.size:
-            found[todo] |= has_witness(xs[todo], schedule[i], hi)
-        counts[i] = found.sum()
-        hi = schedule[i] - 1
-    return counts
+def _nested_hits(m, n, schedule, q_max, has_witness, psi, scale=1.0):
+    """Tester of a batch of flat points: hit counts per ascending cutoff N,
+    largest N first so that only its misses are retested, on the heights
+    below it.  ``has_witness`` is :func:`batch_has_witness` as the caller's
+    module looks it up, asked for heights in [N, hi]."""
+    def tester(batch):
+        xs = batch.reshape(len(batch), m, n)
+        counts = np.zeros(len(schedule), dtype=np.int64)
+        found = np.zeros(len(xs), dtype=bool)
+        hi = q_max
+        for i in range(len(schedule) - 1, -1, -1):
+            todo = np.nonzero(~found)[0]
+            if todo.size:
+                found[todo] |= has_witness(xs[todo], psi, schedule[i], hi, scale)
+            counts[i] = found.sum()
+            hi = schedule[i] - 1
+        return counts
+
+    return tester
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +404,26 @@ def batch_has_witness(xs, psi: ApproximatingFunction, n_min, q_max, scale=1.0):
 # operations
 # ---------------------------------------------------------------------------
 
-def _report(experiment, params, seed, total, hits, parameter, start, extras):
-    """One report timed from ``start``; ``params[parameter]`` is the swept value."""
-    return ExperimentReport(experiment, params, seed, int(total), int(hits), parameter=parameter,
-                            parameter_value=float(params[parameter]),
-                            duration_s=time.perf_counter() - start, extras=dict(extras))
+def _estimate(experiment, params, parameter, values, source, tester, threads, extras):
+    """One report per swept value: ``tester`` run over ``source``, timed.
+
+    ``params[parameter]`` is each of ``values`` in turn: one t, or the
+    cutoffs N of a dichotomy, whose tester counts per cutoff.  The source
+    adds its seed, params and extras.
+    """
+    start = time.perf_counter()
+    counts, total = _run(source, tester, threads)
+    duration = time.perf_counter() - start
+    return [
+        ExperimentReport(experiment, {**params, parameter: value, **source.params}, source.seed,
+                         int(total), int(hits), parameter=parameter,
+                         parameter_value=float(value), duration_s=duration,
+                         extras={**extras, **source.extras})
+        for value, hits in zip(values, np.atleast_1d(counts))
+    ]
 
 
-def _delta_t(experiment, m, n, psi, t, k, source, seed, threads, budget, params, extras):
+def _delta_t(experiment, m, n, psi, t, k, source, threads, budget):
     """Shared body of :func:`estimate_delta_t` and :func:`delta_t_quadrature`."""
     if t < 1 or not 1 < k < math.inf:
         raise PreconditionError("need t >= 1 and a finite band base k > 1")
@@ -429,22 +433,15 @@ def _delta_t(experiment, m, n, psi, t, k, source, seed, threads, budget, params,
         vecs, heights = band_vectors(m, h_lo, h_hi)
     else:  # no integer height in [k^(t-1), k^t]: an empty union
         vecs, heights = np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if len(vecs) * source[0] * n > budget:
+    if len(vecs) * source.points * n > budget:
         raise BudgetExceededError("height band too large for this many points")
     norms = np.linalg.norm(vecs.astype(float), axis=1)
     thr = psi.big_psi(heights.astype(float)) * norms
-    start = time.perf_counter()
-    hits, total = _run(
-        source,
+    return _estimate(
+        experiment, {"m": m, "n": n, "psi": psi.spec(), "k": k}, "t", [t], source,
         lambda b: int(_direct_union_mask(b.reshape(len(b), m, n), vecs, thr, True).sum()),
-        threads,
-    )
-    return _report(
-        experiment,
-        {"m": m, "n": n, "psi": psi.spec(), "t": t, "k": k, **params},
-        seed, total, hits, "t", start,
-        {"band": (h_lo, h_hi), "q_count": len(vecs), **extras},
-    )
+        threads, {"band": (h_lo, h_hi), "q_count": len(vecs)},
+    )[0]
 
 
 def estimate_delta_t(m, n, psi: ApproximatingFunction, t, k=2.0, samples=10_000,
@@ -455,14 +452,13 @@ def estimate_delta_t(m, n, psi: ApproximatingFunction, t, k=2.0, samples=10_000,
     with the max-column-euclidean distance convention.
     """
     source = _seeded_source(samples, seed, _uniform_draw(m * n))
-    return _delta_t("delta-t", m, n, psi, t, k, source, seed, threads, _SCAN_BUDGET, {}, {})
+    return _delta_t("delta-t", m, n, psi, t, k, source, threads, _SCAN_BUDGET)
 
 
 def delta_t_quadrature(m, n, psi, t, k=2.0, resolution=256) -> ExperimentReport:
     """Deterministic midpoint-grid version of :func:`estimate_delta_t`."""
     return _delta_t("delta-t-quadrature", m, n, psi, t, k, _grid_source(m * n, resolution),
-                    None, 1, 4 * _SCAN_BUDGET, {"resolution": resolution},
-                    {"method": "midpoint-grid"})
+                    1, 4 * _SCAN_BUDGET)
 
 
 def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> ExperimentReport:
@@ -479,36 +475,23 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
         raise PreconditionError("the excess-height experiment needs m > n")
     if t < 1:
         raise PreconditionError("t must be >= 1")
-    cutoff = _float_power_of_two(t) / float(omega(t))
-    height_cap = math.ceil(cutoff) - 1
+    height_cap = math.ceil(_float_power_of_two(t) / float(omega(t))) - 1
     bound = dirichlet_bound(m, n, t)
-    source = _seeded_source(samples, seed, _uniform_draw(m * n))
-    start = time.perf_counter()
-    hits, total = _run(
-        source,
+    return _estimate(
+        "excess-height", {"m": m, "n": n, "omega_t": float(omega(t))}, "t", [t],
+        _seeded_source(samples, seed, _uniform_draw(m * n)),
         lambda b: int(_box_witness_mask(b.reshape(len(b), m, n), [(1, height_cap, bound)]).sum()),
-        threads,
-    )
-    return _report(
-        "excess-height",
-        {"m": m, "n": n, "t": t, "omega_t": float(omega(t))},
-        seed, total, hits, "t", start,
-        {"height_cap": height_cap, "bound": bound},
-    )
+        threads, {"height_cap": height_cap, "bound": bound},
+    )[0]
 
 
-def _ball_window(ball_center, ball_radius, dim):
-    center = np.zeros(dim) if ball_center is None else np.asarray(ball_center, dtype=float)
-    if center.size != dim:
-        raise PreconditionError(f"ball center must have {dim} coordinates")
+def _ubiquity(experiment, m, n, config, t, source, threads, ball_center, ball_radius):
+    """Shared body of :func:`ubiquity_density` and :func:`ubiquity_quadrature`."""
+    center = np.zeros(m * n) if ball_center is None else np.asarray(ball_center, dtype=float)
+    if center.size != m * n:
+        raise PreconditionError(f"ball center must have {m * n} coordinates")
     if not (ball_radius > 0 and np.all(np.abs(center) + ball_radius <= 0.5 + 1e-15)):
         raise PreconditionError("ball must be finite and sit inside the cube")
-    return center, float(ball_radius)
-
-
-def _ubiquity(experiment, m, n, config, t, source, seed, threads, center, radius,
-              params, extras):
-    """Shared body of :func:`ubiquity_density` and :func:`ubiquity_quadrature`."""
     if t < 1:
         raise PreconditionError("t must be >= 1")
     config.validate_omega(np.arange(1.0, 33.0))
@@ -517,17 +500,15 @@ def _ubiquity(experiment, m, n, config, t, source, seed, threads, center, radius
     question = _rho_question(m, rho, height_cap)
 
     def tester(batch):
-        pts = center[None, :] + (2 * radius) * batch   # batch is uniform on [-1/2,1/2)
+        pts = center[None, :] + (2 * ball_radius) * batch   # batch is uniform on [-1/2,1/2)
         return int(_box_witness_mask(pts.reshape(len(pts), m, n), *question).sum())
 
-    start = time.perf_counter()
-    hits, total = _run(source, tester, threads)
-    return _report(
+    return _estimate(
         experiment,
-        {"m": m, "n": n, "t": t, "k": config.k, "rho_t": rho, **params},
-        seed, total, hits, "t", start,
-        {"height_cap": height_cap, **extras},
-    )
+        {"m": m, "n": n, "k": config.k, "rho_t": rho, "ball_center": tuple(center.tolist()),
+         "ball_radius": float(ball_radius)},
+        "t", [t], source, tester, threads, {"height_cap": height_cap},
+    )[0]
 
 
 def ubiquity_density(m, n, config, t, samples=10_000, seed=0,
@@ -537,37 +518,15 @@ def ubiquity_density(m, n, config, t, samples=10_000, seed=0,
     The window is the sup-norm ball [center - r, center + r]^(mn); membership
     means some 0 < |q| <= k^t has dist(X, R_q) <= rho(t).
     """
-    center, radius = _ball_window(ball_center, ball_radius, m * n)
     source = _seeded_source(samples, seed, _uniform_draw(m * n))
-    return _ubiquity("ubiquity-density", m, n, config, t, source, seed, threads, center, radius,
-                     {"ball_center": tuple(center), "ball_radius": radius}, {})
+    return _ubiquity("ubiquity-density", m, n, config, t, source, threads, ball_center, ball_radius)
 
 
 def ubiquity_quadrature(m, n, config, t, resolution=256,
                         ball_center=None, ball_radius=0.5) -> ExperimentReport:
     """Midpoint-grid version of :func:`ubiquity_density` over the window."""
-    center, radius = _ball_window(ball_center, ball_radius, m * n)
     return _ubiquity("ubiquity-quadrature", m, n, config, t, _grid_source(m * n, resolution),
-                     None, 1, center, radius,
-                     {"ball_center": tuple(center), "ball_radius": radius, "resolution": resolution},
-                     {"method": "midpoint-grid"})
-
-
-def _tail_reports(experiment, m, n, psi, schedule, q_max, source, has_witness, seed, threads,
-                  params, extras):
-    """Shared body of the tail dichotomies: one report per cutoff N in ``schedule``,
-    counting the points of ``source`` with a witness of height in [N, Q]."""
-    start = time.perf_counter()
-    counts, total = _run(
-        source,
-        lambda b: _nested_hits(b.reshape(len(b), m, n), schedule, q_max, has_witness),
-        threads,
-    )
-    return [
-        _report(experiment, {"m": m, "n": n, "psi": psi.spec(), "N": N, "Q": q_max, **params},
-                seed, total, c, "N", start, extras)
-        for N, c in zip(schedule, counts)
-    ]
+                     1, ball_center, ball_radius)
 
 
 def tail_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
@@ -579,12 +538,11 @@ def tail_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
     are retested at smaller cutoffs, on the heights below the larger one.
     """
     schedule = _cutoff_schedule(n_schedule, q_max)
-    return _tail_reports(
-        "tail-dichotomy", m, n, psi, schedule, q_max,
+    return _estimate(
+        "tail-dichotomy", {"m": m, "n": n, "psi": psi.spec(), "Q": q_max}, "N", schedule,
         _seeded_source(samples, seed, _uniform_draw(m * n)),
-        lambda xs, lo, hi: batch_has_witness(xs, psi, lo, hi),
-        seed, threads, {}, {"schedule": tuple(schedule)},
-    )
+        _nested_hits(m, n, schedule, q_max, batch_has_witness, psi), threads,
+        {"schedule": tuple(schedule)})
 
 
 def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16, kind="kronecker",
@@ -603,8 +561,6 @@ def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16, kind="kronecker",
         source = _kronecker_source(m * n, points)
     else:
         raise PreconditionError(f"unknown quadrature kind {kind!r}")
-    return _tail_reports(
-        "tail-quadrature", m, n, psi, [n_min], q_max, source,
-        lambda xs, lo, hi: batch_has_witness(xs, psi, lo, hi),
-        None, 1, {"kind": kind}, {"method": kind},
-    )[0]
+    return _estimate(
+        "tail-quadrature", {"m": m, "n": n, "psi": psi.spec(), "Q": q_max, "kind": kind}, "N",
+        [n_min], source, _nested_hits(m, n, [n_min], q_max, batch_has_witness, psi), 1, {})[0]

@@ -85,14 +85,22 @@ def criterion_terms(m, n, f: DimensionFunction, psi: ApproximatingFunction, r):
     """General term f(Psi(r)) Psi(r)^(-(m-1)n) r^(m-1), vectorized over r."""
     _check_mn(m, n)
     r_arr = np.asarray(r, dtype=float)
-    big_psi = psi.big_psi(r_arr)
-    if np.any(big_psi == 0):
-        raise BudgetExceededError("Psi(r) underflows to 0: the criterion terms leave the float range")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = f(big_psi) * big_psi ** (-(m - 1) * n) * r_arr ** (m - 1)
-    if not np.all(np.isfinite(out)):
-        raise BudgetExceededError("a criterion term leaves the float range")
+    out = _float_terms("Psi", psi.big_psi(r_arr),
+                       lambda g: f(g) * g ** (-(m - 1) * n) * r_arr ** (m - 1))
     return float(out) if np.ndim(r) == 0 else out
+
+
+def _float_terms(name, g, term):
+    """``term(g)`` for the threshold values g (Psi or psi) at the summed
+    heights: a g that underflows to 0 (f is not defined there) or a term
+    outside the float range is a :class:`BudgetExceededError`."""
+    if np.any(g == 0):
+        raise BudgetExceededError(f"{name}(r) underflows to 0: the summed terms leave the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = term(g)
+    if not np.all(np.isfinite(out)):
+        raise BudgetExceededError("a summed term leaves the float range")
+    return out
 
 
 def _heights(r0, horizon):
@@ -134,7 +142,7 @@ def classify_series(m, n, f: DimensionFunction, psi: ApproximatingFunction,
         s = _as_fraction(f.s)
         kf = _as_fraction(f.kappa)
         tau = _as_fraction(psi.tau)
-        kp = _as_fraction(psi.kappa) if psi.family == "powerlog" else Fraction(0)
+        kp = _as_fraction(psi.kappa)
         excess = s - gamma
         e_exp = (m - 1) - (tau + 1) * excess
         k_exp = kf - kp * excess
@@ -323,15 +331,14 @@ def sum_equivalence_check(alpha, beta, psi: ApproximatingFunction,
 
     r0 = _first_valid_r(f, psi)
     r_vals = _heights(r0, horizon)
-    linear_terms = r_vals ** (alpha - 1) * f(psi(r_vals)) * psi(r_vals) ** beta
+    linear_terms = _float_terms("psi", psi(r_vals), lambda g: r_vals ** (alpha - 1) * f(g) * g ** beta)
     linear_cum = np.cumsum(linear_terms)
 
     t_vals = np.arange(1, t_max + 1, dtype=float)
     kt = float(k) ** t_vals
     keep = kt >= r0
     kt = kt[keep]
-    dyadic_terms = kt ** alpha * f(psi(kt)) * psi(kt) ** beta
-    dyadic_cum = np.cumsum(dyadic_terms)
+    dyadic_cum = np.cumsum(_float_terms("psi", psi(kt), lambda g: kt ** alpha * f(g) * g ** beta))
 
     ratios = []
     for i, r_ck in enumerate(kt):

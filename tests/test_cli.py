@@ -374,9 +374,15 @@ class TestDispatch:
          "--beta", "0", "--horizon", "10000000000000"],
         ["series", "omega", "--m", "2", "--n", "1", "--psi", "pow:1,400", "--f", "pow:0.5",
          "--horizon", "1000"],
-    ], ids=["omega-horizon-huge", "equivalence-horizon-huge", "omega-psi-underflow"])
+        ["series", "equivalence", "--psi", "pow:1,50", "--f", "pow:1", "--alpha", "1",
+         "--beta", "-8", "--horizon", "4096"],
+        ["series", "equivalence", "--psi", "pow:1,400", "--f", "pow:1", "--alpha", "1",
+         "--beta", "0", "--horizon", "4096"],
+    ], ids=["omega-horizon-huge", "equivalence-horizon-huge", "omega-psi-underflow",
+            "equivalence-term-overflow", "equivalence-psi-underflow"])
     def test_series_budget_exit_code(self, argv, capsys):
-        # a horizon over the term budget, or a Psi that underflows to 0
+        # a horizon over the term budget, a Psi or psi that underflows to 0, or
+        # a summed term that overflows
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("budget error: ") and err.count("\n") == 1

@@ -40,6 +40,13 @@ class TestApproximatingFunction:
             with pytest.raises(PreconditionError):
                 make()
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_power_rejects_log_exponent(self, strict):
+        # a power psi would evaluate as r^-tau and print as pow:c,tau, dropping kappa
+        with pytest.raises(PreconditionError, match="no log exponent"):
+            ApproximatingFunction("power", c=1.0, tau=1.0, kappa=5.0, strict=strict)
+        assert ApproximatingFunction("power", c=1.0, tau=1.0, kappa=0.0).spec() == "pow:1.0,1.0"
+
     def test_power_log_must_not_increase(self):
         # (log psi)' <= 0 on r >= 1 exactly when kappa >= -3.146 tau
         with pytest.raises(PreconditionError):

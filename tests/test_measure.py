@@ -1,10 +1,15 @@
+import ast
+import csv
+import io
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smallforms
 from smallforms import (
     ApproximatingFunction,
     BudgetExceededError,
@@ -19,6 +24,7 @@ from smallforms import (
     witnesses,
 )
 from smallforms import lattice, measure
+from smallforms.cli import parse_psi
 from smallforms.forms import form_columns
 from smallforms.functions import OmegaFunction
 from smallforms.manifold import _sample_eta_batch, absorption_constant
@@ -655,3 +661,76 @@ class TestTailDichotomy:
         quad = tail_quadrature(2, 1, psi, 4, 32, points=1 << 14)
         comb = math.hypot(mc.stderr, quad.stderr)
         assert abs(mc.estimate - quad.estimate) <= 3 * comb + 1e-9
+
+
+class TestEstimator:
+    """Every report comes from ``measure._estimate``, and a quadrature
+    report's params, with its point count, are enough to re-run it."""
+
+    def test_reports_built_in_one_place(self):
+        package = Path(smallforms.__file__).parent
+        built, in_estimate = set(), set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExperimentReport":
+                    built.add((path.name, node.lineno))
+                if isinstance(node, ast.FunctionDef) and node.name == "_estimate":
+                    in_estimate |= {(path.name, n.lineno) for n in ast.walk(node)
+                                    if isinstance(n, ast.Call)
+                                    and getattr(n.func, "id", None) == "ExperimentReport"}
+        assert built and built == in_estimate
+        assert {name for name, _ in built} == {"measure.py"}
+
+    @staticmethod
+    def _rerun(rep, omega):
+        """The experiment of ``rep`` called again from its serialized params."""
+        p = json.loads(json.dumps(rep.to_json_dict()))["params"]
+        m, n = p["m"], p["n"]
+        if rep.experiment == "delta-t-quadrature":
+            return delta_t_quadrature(m, n, parse_psi(p["psi"]), p["t"], p["k"], p["resolution"])
+        if rep.experiment == "ubiquity-quadrature":
+            return ubiquity_quadrature(m, n, UbiquityConfig(m, n, omega, p["k"]), p["t"],
+                                       p["resolution"], p["ball_center"], p["ball_radius"])
+        assert rep.experiment == "tail-quadrature"
+        return tail_quadrature(m, n, parse_psi(p["psi"]), p["N"], p["Q"], points=rep.samples,
+                               kind=p["kind"], resolution=p.get("resolution"))
+
+    def test_quadratures_rerun_from_params(self):
+        psi = ApproximatingFunction.power(0.05, 1.5)
+        omega = OmegaFunction.power(1.0, scale=0.01)
+        reports = [
+            delta_t_quadrature(2, 1, psi, 3, resolution=64),
+            ubiquity_quadrature(2, 1, UbiquityConfig(2, 1, omega), 3, resolution=32,
+                                ball_center=(0.1, -0.2), ball_radius=0.25),
+            tail_quadrature(2, 1, psi, 4, 64, points=5000),
+            tail_quadrature(2, 1, psi, 4, 64, kind="grid", resolution=48),
+        ]
+        for rep in reports:
+            again = self._rerun(rep, omega)
+            assert (again.samples, again.hits) == (rep.samples, rep.hits), rep.experiment
+            assert again.params == rep.params, rep.experiment
+        assert any(0 < rep.hits < rep.samples for rep in reports)
+        assert reports[3].params["resolution"] == 48
+        assert reports[3].extras["method"] == "midpoint-grid"
+
+    def test_ball_center_is_python_floats(self):
+        cfg = UbiquityConfig(2, 1, OmegaFunction.power(1.0))
+        for rep in (ubiquity_density(2, 1, cfg, 2, samples=10, seed=0, ball_center=(0.125, -0.125),
+                                     ball_radius=0.125),
+                    ubiquity_quadrature(2, 1, cfg, 2, resolution=4)):
+            assert [type(c) for c in rep.params["ball_center"]] == [float, float]
+
+    def test_sources_record_their_provenance(self):
+        assert measure._seeded_source(10, 5, measure._uniform_draw(2))[3:] == (5, {}, {})
+        assert measure._grid_source(2, 8)[3:] == (None, {"resolution": 8},
+                                                  {"method": "midpoint-grid"})
+        assert measure._kronecker_source(2, 10)[3:] == (None, {"kind": "kronecker"},
+                                                        {"method": "kronecker"})
+
+    def test_csv_row_is_the_fields(self):
+        rep = ExperimentReport("demo", {}, None, 10, 3, parameter="t", parameter_value=2.0)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(reports_to_csv_rows([rep]))
+        assert buf.getvalue().splitlines()[1] == \
+            f"demo,t,2.0,0.3,{rep.stderr!r},3,10,,max-column-euclidean"

@@ -224,6 +224,17 @@ class TestFloatRange:
                 constant_absorption_check(2, 2, DimensionFunction.power(3), psi_pow(tau), 1.5,
                                           1000)
 
+    def test_sum_comparison_out_of_float_range(self):
+        # psi(r) = r^-400 underflows to 0 at r = 7, where f(psi) is undefined;
+        # psi^-8 = r^400 overflows, and the ratios of the sums were NaN
+        f = DimensionFunction.power(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="underflows"):
+                sum_equivalence_check(1.0, 0.0, psi_pow(400.0), f, 2.0, 4096)
+            with pytest.raises(BudgetExceededError, match="float range"):
+                sum_equivalence_check(1.0, -8.0, psi_pow(50.0), f, 2.0, 4096)
+
     def test_overflowing_term(self):
         # Psi^-6 overflows while f(Psi) underflows: 0 * inf is not a term
         rs = np.arange(1.0, 1001.0)
