@@ -10,9 +10,13 @@ A slab gives, per outer row (all coordinates but the last), one range of
 last-coordinate cells.  The ranges are computed only on the rows of the
 positive orthant of the outer axes, every outer index in [w/2, w): the cell
 edges are exact dyadic numbers, so negating q_i and mirroring axis i
-reproduces the hull bit for bit.  A full height band is closed under those sign flips, so the
-union count is 2^(m-1) times the orthant's, and :func:`cover_count` and the
-(2, 2) masks get the other rows from the flipped q.
+reproduces the hull bit for bit.  A full height band is closed under those
+sign flips, so the union count is 2^(m-1) times the orthant's, and
+:func:`cover_count` and the (2, 2) masks get the other rows from the flipped
+q.  At m = 3 a full band is also closed under swapping q_0 and q_1, and the
+two-term hull sum commutes, so row (i1, i0) has the union of row (i0, i1):
+the (3, 1) union paints only the triangle i0 <= i1 of the orthant and
+weights each row 2 off the diagonal and 1 on it.
 
 The estimator couples the height bound to the box side, Q(delta) with
 Psi(Q) ~ delta, and counts the dyadic height band below Q at each scale:
@@ -116,14 +120,26 @@ def _first_axis_blocks(start, stop, rows_per_cell):
     return [(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
-def _orthant_row_blocks(m, level):
+def _orthant_row_blocks(m, level, swap=False):
     """The outer rows of the positive orthant, every outer index in
-    [w/2, w), in blocks of about ``_ROW_BLOCK`` rows: per block, one cell
-    index array per outer axis (last axis fastest)."""
+    [w/2, w), in blocks of up to about ``_ROW_BLOCK`` rows: per block, one
+    cell index array per outer axis (last axis fastest) and each row's weight.
+
+    With ``swap`` (m = 3) only the triangle i0 <= i1 is generated, and a row
+    stands for itself and for its swap (i1, i0): weight 2 off the diagonal
+    and 1 on it.  Otherwise every row is generated with weight 1.
+    """
     half = 1 << (level - 1)
-    for a, b in _first_axis_blocks(half, 2 * half, half ** (m - 2)):
-        shape = (b - a,) + (half,) * (m - 2)
-        yield [c.ravel() + off for c, off in zip(np.indices(shape), (a,) + (half,) * (m - 2))]
+    w = 2 * half
+    for a, b in _first_axis_blocks(half, w, half ** (m - 2)):
+        if swap:
+            i0 = np.repeat(np.arange(a, b), np.arange(w - a, w - b, -1))
+            i1 = np.concatenate([np.arange(i, w) for i in range(a, b)])
+            yield [i0, i1], np.where(i0 < i1, 2, 1)
+        else:
+            shape = (b - a,) + (half,) * (m - 2)
+            rows = [c.ravel() + off for c, off in zip(np.indices(shape), (a,) + (half,) * (m - 2))]
+            yield rows, np.ones(len(rows[0]), dtype=np.int64)
 
 
 def _outer_hull(qs, rows, level):
@@ -135,6 +151,8 @@ def _outer_hull(qs, rows, level):
     j -> w - 1 - j) negates them: the mirror's left edge is minus the right
     edge.  Rounding is symmetric under negation, so a q with q_i negated has
     on the mirrored cells the same products, hence the same hull, bit for bit.
+    At m = 3 the hull adds two products, and float addition commutes, so q
+    with q_0 and q_1 swapped has on cell (i1, i0) the hull of q on (i0, i1).
     """
     delta = 2.0 ** -level
     lo = hi = 0.0
@@ -200,7 +218,7 @@ def cover_count(q, psi: ApproximatingFunction, delta) -> int:
     flips = _outer_flips(q_arr)
     thresholds = np.full(len(flips), threshold)
     total = 0
-    for rows in _orthant_row_blocks(q_arr.size, spec.level):
+    for rows, _ in _orthant_row_blocks(q_arr.size, spec.level):
         j0, j1 = _slab_ranges(flips, thresholds, spec.level, rows)
         total += int(np.sum(j1 - j0))
     return total
@@ -208,19 +226,29 @@ def cover_count(q, psi: ApproximatingFunction, delta) -> int:
 
 def _union_count_paint(m, level, qs, thresholds):
     """Boxes covered by the union of slabs, via per-row difference painting
-    on the positive orthant of the outer axes.
+    on the positive orthant of the outer axes, and at m = 3 on its triangle
+    i0 <= i1.
 
-    Precondition: the slabs are closed under flipping the sign of any outer
-    coordinate of q (up to +-q, which paints identically) with the threshold
-    unchanged, as a full height band of ``band_vectors`` is.  Every row with
-    an outer index below w/2 then has a mirror row in the orthant with the
-    same union (see :func:`_outer_hull`), so the count is 2^(m-1) times the
-    orthant's.  The last axis is not mirrored: rounding in
-    :func:`_cell_range` is not symmetric about the center.
+    Preconditions, both held by a full height band of ``band_vectors`` with
+    thresholds Psi(|q|) |q|_2 (up to +-q, which paints identically):
 
-    The orthant rows are painted in blocks of about ``_ROW_BLOCK`` rows into
-    one flat int32 buffer of ``w + 1`` slots per row.  The ranges of a chunk
-    of slabs, at most ``_PAIR_BLOCK`` slab-row pairs, come from one call of
+    * the slabs are closed under flipping the sign of any outer coordinate
+      of q with the threshold unchanged.  Every row with an outer index
+      below w/2 then has a mirror row in the orthant with the same union
+      (see :func:`_outer_hull`), so the count is 2^(m-1) times the
+      orthant's.  The last axis is not mirrored: rounding in
+      :func:`_cell_range` is not symmetric about the center;
+    * at m = 3, the slabs are closed under swapping q_0 and q_1 with the
+      threshold bit for bit unchanged (the squared norm of a small integer
+      vector is exact).  The two-term hull sum of :func:`_outer_hull`
+      commutes, so row (i1, i0) under the swapped q has the ranges of row
+      (i0, i1) under q, and the union on row (i1, i0) is the union on
+      (i0, i1).  Only the triangle i0 <= i1 is painted; each row's covered
+      cells count with its weight, 2 off the diagonal and 1 on it.
+
+    The rows are painted in blocks of about ``_ROW_BLOCK`` rows into one
+    flat int32 buffer of ``w + 1`` slots per row.  The ranges of a chunk of
+    slabs, at most ``_PAIR_BLOCK`` slab-row pairs, come from one call of
     :func:`_slab_ranges` and are painted by one unbuffered ``np.add.at`` and
     one ``np.subtract.at``, which count an index as often as it repeats
     (slabs of one chunk may share a start); an empty range cancels itself.
@@ -228,13 +256,14 @@ def _union_count_paint(m, level, qs, thresholds):
     and its nonzero entries are exactly the covered cells.
 
     After ``_FIRST_DROP`` slabs, and again each time the slab count doubles,
-    the rows already fully covered are counted and dropped from the buffer;
-    the later slabs paint only the rows still live.
+    the rows already fully covered are counted, w cells times their weight,
+    and dropped from the buffer; the later slabs paint only the rows still
+    live.
     """
     w = 1 << level
     total = 0
-    for rows in _orthant_row_blocks(m, level):
-        base = np.arange(len(rows[0]), dtype=np.int64) * (w + 1)
+    for rows, weights in _orthant_row_blocks(m, level, swap=m == 3):
+        base = np.arange(len(weights), dtype=np.int64) * (w + 1)
         diff = np.zeros(len(base) * (w + 1), dtype=np.int32)
         check = _FIRST_DROP
         s = 0
@@ -243,9 +272,10 @@ def _union_count_paint(m, level, qs, thresholds):
                 check *= 2
                 cover = np.cumsum(diff, dtype=np.int32).reshape(-1, w + 1)[:, :-1]
                 full = np.all(cover > 0, axis=1)
-                total += w * int(np.count_nonzero(full))
+                total += w * int(weights[full].sum())
                 kept = np.flatnonzero(~full)
                 rows = [r[kept] for r in rows]
+                weights = weights[kept]
                 diff = diff.reshape(-1, w + 1)[kept].ravel()
                 base = base[: len(kept)]
                 if not len(kept):
@@ -256,7 +286,8 @@ def _union_count_paint(m, level, qs, thresholds):
             np.add.at(diff, (j0 + base).ravel(), ones)
             np.subtract.at(diff, (j1 + base).ravel(), ones)
             s = stop
-        total += int(np.count_nonzero(np.cumsum(diff, dtype=np.int32)))
+        np.cumsum(diff, dtype=np.int32, out=diff)   # the buffer's last use
+        total += int(np.count_nonzero(diff.reshape(-1, w + 1), axis=1) @ weights)
     return total << (m - 1)
 
 

@@ -7,7 +7,8 @@ function specs: ``pow:c,tau`` / ``powlog:c,tau,kappa`` / ``table:path`` for
 psi, ``pow:s`` / ``powlog:s,kappa`` for f, ``pow:exponent[,scale]`` /
 ``table:path`` for omega.  :class:`RunConfig`'s field defaults are the only
 defaults, apart from ``--threads`` (``SMALLFORMS_THREADS``, else 1) and
-``manifold --samples`` (2000).
+``manifold --samples`` (2000); ``boxdim`` passes ``--band-ratio`` only when
+given, so the band ratio defaults to :func:`coupled_schedule`'s.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class RunConfig:
     beta: float | None = None
     ball_center: tuple = ()
     ball_radius: float = 0.5
-    band_ratio: float = 2.0
+    band_ratio: float | None = None
     pruning: bool = True
     max_witnesses: int | None = None
     threads: int = 1
@@ -352,7 +353,8 @@ def _run_boxdim(config, out):
     if config.tau is None:
         raise PreconditionError("boxdim needs --tau")
     levels = config.levels or (4, 5, 6, 7)
-    schedule = coupled_schedule(config.m, config.n, config.tau, levels, config.band_ratio)
+    ratio = {} if config.band_ratio is None else {"band_ratio": config.band_ratio}
+    schedule = coupled_schedule(config.m, config.n, config.tau, levels, **ratio)
     report = boxdim_estimate(config.m, config.n, config.tau, schedule)
     out(
         f"slope {report.slope:.4f} (target {report.target:.4f}), "

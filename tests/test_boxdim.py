@@ -269,20 +269,23 @@ class TestUnionEngine:
         (3, 0.03, 1.5, 2, 2, 6),    # 46%
         (3, 0.01, 3.0, 1, 3, 6),    # 99.4%
         (3, 0.1, 1.5, 2, 3, 6),     # every row: the block empties
+        (3, 0.02, 1.0, 1, 2, 6),    # 69%
+        (3, 0.005, 2.0, 1, 2, 6),   # 40%
     ])
     def test_small_blocks_and_row_dropout(self, monkeypatch, m, c, tau, h_min, q_max, level):
         # tiny blocks and an early first drop exercise every branch of the
-        # paint on grids the dense rasterizer affords
+        # paint on grids the dense rasterizer affords; at m = 3 the blocks
+        # tile the triangle i0 <= i1, and a drop step counts the rows it
+        # removes with their weights, 2 off the diagonal and 1 on it
         monkeypatch.setattr(boxdim, "_ROW_BLOCK", 64)
         monkeypatch.setattr(boxdim, "_FIRST_DROP", 4)
         monkeypatch.setattr(boxdim, "_PAIR_BLOCK", 256)
-        painted, chunks = [], []
+        calls = []
         ranges = boxdim._slab_ranges
 
         def spy(qs, thresholds, level, rows):
             j0, j1 = ranges(qs, thresholds, level, rows)
-            chunks.append(j0.shape[0])
-            painted.append(j0.shape[1])
+            calls.append((j0.shape[0], set(zip(*(r.tolist() for r in rows)))))
             return j0, j1
 
         monkeypatch.setattr(boxdim, "_slab_ranges", spy)
@@ -291,8 +294,17 @@ class TestUnionEngine:
         expected = dense_union_count(qs, thr, level, m)
         got = truncated_box_count(m, 1, tau, q_max, 2.0 ** -level, h_min=h_min, psi=psi)
         assert got == expected
-        assert min(painted) < 64 <= max(painted)   # some rows were dropped
-        assert max(chunks) > 1                     # one call ranged several slabs
+        # a block's later call paints a strict subset of its rows: the drop
+        dropped = [before - after for (_, before), (_, after) in zip(calls, calls[1:])
+                   if after < before]
+        assert dropped                                  # some rows were dropped
+        assert max(k for k, _ in calls) > 1             # one call ranged several slabs
+        if m == 3:
+            half = 1 << (level - 1)
+            triangle = {(i, j) for i in range(half, 2 * half) for j in range(i, 2 * half)}
+            assert set().union(*(rows for _, rows in calls)) == triangle
+            assert len(calls[0][1]) < len(triangle)     # a block holds part of it
+            assert any({i == j for i, j in rows} == {True, False} for rows in dropped)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_orthant_count_matches_full_row_oracle(self, m):
@@ -347,6 +359,49 @@ class TestUnionEngine:
                 f_lo, f_hi = boxdim._outer_hull(flipped, mirrored, level)
                 assert np.array_equal(f_lo.view(np.int64), lo.view(np.int64))
                 assert np.array_equal(f_hi.view(np.int64), hi.view(np.int64))
+
+    def test_outer_swap_mirrors_the_hull(self):
+        # at m = 3, row (i, j) under q and row (j, i) under (q1, q0, q2) get
+        # the same hull and the same cell range bit for bit, since the
+        # two-term hull sum commutes: the precondition of the triangle count
+        rng = np.random.default_rng(22)
+        for level in (1, 3, 5):
+            w = 1 << level
+            i, j = (r.ravel() for r in np.indices((w, w)))
+            qs = rng.integers(-64, 65, size=(24, 3)).astype(float)
+            qs[::4, 2] = 0.0     # q_last = 0
+            qs[1::4, 0] = 0.0    # a zero outer coordinate
+            qs[2::4, 1] = 0.0
+            thr = rng.uniform(0.0, 2.0, size=len(qs)) * 2.0 ** -level * np.linalg.norm(qs, axis=1)
+            swapped = qs[:, [1, 0, 2]]
+            lo, hi = boxdim._outer_hull(qs, [i, j], level)
+            s_lo, s_hi = boxdim._outer_hull(swapped, [j, i], level)
+            assert np.array_equal(s_lo.view(np.int64), lo.view(np.int64))
+            assert np.array_equal(s_hi.view(np.int64), hi.view(np.int64))
+            j0, j1 = boxdim._slab_ranges(qs, thr, level, [i, j])
+            s0, s1 = boxdim._slab_ranges(swapped, thr, level, [j, i])
+            assert np.array_equal(s0, j0) and np.array_equal(s1, j1)
+            assert 0 < np.count_nonzero(j1 - j0) < j0.size or level == 1
+
+    @pytest.mark.parametrize("psi", [ApproximatingFunction.power(1.0, 3.0),
+                                     ApproximatingFunction.power_log(0.3, 1.5, 2.0)])
+    def test_band_is_closed_under_the_outer_swap(self, monkeypatch, psi):
+        # for every 1 <= h_min <= q_max <= 6, the slabs that
+        # truncated_box_count hands to the paint, as a set {+-q}, are closed
+        # under swapping q_0 and q_1, with the threshold equal bit for bit
+        seen = []
+        monkeypatch.setattr(boxdim, "_union_count_paint",
+                            lambda m, level, qs, thr: seen.append((qs, thr)) or 0)
+        for q_max in range(1, 7):
+            for h_min in range(1, q_max + 1):
+                truncated_box_count(3, 1, 3.0, q_max, 0.25, h_min=h_min, psi=psi)
+                qs, thr = seen.pop()
+                slabs = {}
+                for q, t in zip(qs.tolist(), thr.view(np.int64).tolist()):
+                    slabs[tuple(q)] = slabs[tuple(-v for v in q)] = t
+                assert len(slabs) == 2 * len(qs)
+                for (q0, q1, q2), t in slabs.items():
+                    assert slabs.get((q1, q0, q2)) == t, (h_min, q_max, (q0, q1, q2))
 
     @pytest.mark.parametrize("gamma_window", [True, False])
     @pytest.mark.parametrize("h_min, q_max, level", [(2, 3, 4), (2, 3, 5), (3, 3, 5)])

@@ -202,6 +202,21 @@ class TestDispatch:
         assert diag["label"] == "box-dimension proxy"
         assert len(diag["points"]) == 4
 
+    def test_boxdim_band_ratio_defaults_to_the_library(self):
+        # without --band-ratio the CLI fits the library's own coupled schedule
+        levels = (4, 5, 6, 7, 8)
+        code, lines = run_capture(["boxdim", "--m", "2", "--n", "1", "--tau", "2",
+                                   "--levels", ",".join(map(str, levels))])
+        assert code == 0
+        rep = boxdim_estimate(2, 1, 2.0, coupled_schedule(2, 1, 2.0, levels))
+        assert lines[0].startswith(f"slope {rep.slope:.4f} ")
+        assert len(lines) == 1 + len(levels)
+        for line, (delta, q_max, h_min, count) in zip(lines[1:], rep.points):
+            assert line.endswith(f"heights [{h_min}, {q_max}] N={count}")
+        code, wide = run_capture(["boxdim", "--m", "2", "--n", "1", "--tau", "2",
+                                  "--levels", "4,5,6,7,8", "--band-ratio", "2"])
+        assert code == 0 and wide[1:] != lines[1:]
+
     def test_measure_runs_and_writes(self, tmp_path):
         code, lines = run_capture(
             ["measure", "delta-t", "--m", "2", "--n", "1", "--psi", "pow:1,2",
