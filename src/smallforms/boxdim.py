@@ -48,10 +48,8 @@ __all__ = [
     "coupled_schedule",
 ]
 
-_SUPPORTED = {(2, 1), (3, 1), (2, 2)}
-# per-shape refinement/height guards keeping bitmap memory and scan time sane
-_MAX_LEVEL = {(2, 1): 12, (3, 1): 9, (2, 2): 6}
-_MAX_Q = {(2, 1): 512, (3, 1): 64, (2, 2): 16}
+# the supported shapes and their (level, height) caps, keeping bitmap memory and scan time sane
+_SHAPE_CAPS = {(2, 1): (12, 512), (3, 1): (9, 64), (2, 2): (6, 16)}
 # rows of w cells painted per block, so a block's buffer stays small
 _ROW_BLOCK = 4096
 # slab-row pairs whose ranges one call computes, so its arrays stay small
@@ -366,15 +364,14 @@ def truncated_box_count(m, n, tau, q_max, delta, h_min=1, gamma_window=None,
     ``gamma_window`` is true (the default for that shape).  ``psi`` defaults
     to the pure power law with exponent tau.
     """
-    if (m, n) not in _SUPPORTED:
-        raise BudgetExceededError(f"shape ({m}, {n}) not supported for box counting")
+    if (m, n) not in _SHAPE_CAPS:
+        raise BudgetExceededError(f"box counting takes the shapes {sorted(_SHAPE_CAPS)}, not ({m}, {n})")
     spec = GridSpec.from_delta(delta, m * n)
-    if spec.level > _MAX_LEVEL[(m, n)]:
-        raise BudgetExceededError(
-            f"level {spec.level} over the ({m}, {n}) budget {_MAX_LEVEL[(m, n)]}"
-        )
-    if q_max > _MAX_Q[(m, n)]:
-        raise BudgetExceededError(f"height bound {q_max} over budget {_MAX_Q[(m, n)]}")
+    max_level, max_q = _SHAPE_CAPS[(m, n)]
+    if spec.level > max_level:
+        raise BudgetExceededError(f"level {spec.level} over the ({m}, {n}) budget {max_level}")
+    if q_max > max_q:
+        raise BudgetExceededError(f"height bound {q_max} over the ({m}, {n}) budget {max_q}")
     if h_min < 1 or h_min > q_max:
         raise PreconditionError("need 1 <= h_min <= q_max")
     if psi is None:
@@ -443,21 +440,16 @@ class BoxDimReport:
         return max(abs(r) for r in self.residuals)
 
 
-def boxdim_estimate(m, n, tau, schedule, gamma_window=None) -> BoxDimReport:
+def boxdim_estimate(m, n, tau, schedule) -> BoxDimReport:
     """Fit the box-count scaling exponent along a coupled schedule.
 
-    ``schedule`` holds (q_max, delta) or (q_max, delta, h_min) entries, at
-    least 4 of them; counts come from :func:`truncated_box_count`.  The
-    report carries the theoretical dimension target for comparison.
+    ``schedule`` holds at least 4 (q_max, delta, h_min) triples, as
+    :func:`coupled_schedule` builds them; counts come from
+    :func:`truncated_box_count` with its default window.  The report carries
+    the theoretical dimension target for comparison, and its (m, n, tau,
+    points) fix the run: the schedule is (q_max, delta, h_min) of each point.
     """
-    entries = []
-    for entry in schedule:
-        if len(entry) == 2:
-            q_max, delta = entry
-            h_min = 1
-        else:
-            q_max, delta, h_min = entry
-        entries.append((int(q_max), float(delta), int(h_min)))
+    entries = [(int(q_max), float(delta), int(h_min)) for q_max, delta, h_min in schedule]
     if len(entries) < 4:
         raise PreconditionError("schedule needs at least 4 scales")
     if len({d for _, d, _ in entries}) < 4:
@@ -465,8 +457,7 @@ def boxdim_estimate(m, n, tau, schedule, gamma_window=None) -> BoxDimReport:
 
     points = []
     for q_max, delta, h_min in entries:
-        count = truncated_box_count(m, n, tau, q_max, delta, h_min=h_min,
-                                    gamma_window=gamma_window)
+        count = truncated_box_count(m, n, tau, q_max, delta, h_min=h_min)
         points.append((delta, q_max, h_min, count))
     xs = np.array([math.log2(1.0 / d) for d, _, _, c in points])
     ys = np.array([math.log2(max(c, 1)) for _, _, _, c in points])

@@ -5,10 +5,13 @@ Exit codes: 0 success, 2 malformed configuration, violated precondition or
 unwritable ``--out``, 3 enumeration/grid budget exceeded.  One parser reads the
 function specs: ``pow:c,tau`` / ``powlog:c,tau,kappa`` / ``table:path`` for
 psi, ``pow:s`` / ``powlog:s,kappa`` for f, ``pow:exponent[,scale]`` /
-``table:path`` for omega.  :class:`RunConfig`'s field defaults are the only
-defaults, apart from ``--threads`` (``SMALLFORMS_THREADS``, else 1) and
-``manifold --samples`` (2000); ``boxdim`` passes ``--band-ratio`` only when
-given, so the band ratio defaults to :func:`coupled_schedule`'s.
+``table:path`` for omega.  Defaults are :class:`RunConfig`'s fields, the
+parser's ``--threads`` (``SMALLFORMS_THREADS``, else 1) and ``manifold
+--samples`` (2000), and :func:`coupled_schedule`'s band ratio.  Where a field
+is unset, ``manifold certify`` takes Q = 20 and ``series`` f = r^(mn);
+``search`` Q = 10, ``dirichlet`` t = 1, ``obstruction`` psi ``pow:1,2`` and
+the ``verdict`` series mode serve only a config built in code (the parser
+requires them).
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class RunConfig:
     t_schedule: tuple = ()
     n_schedule: tuple = ()
     q_max: int | None = None
-    levels: tuple = ()
+    levels: tuple = (4, 5, 6, 7)
     k: float = 2.0
     omega: str = "pow:1"
     samples: int = 10_000
@@ -352,9 +355,8 @@ def _run_measure(config, out):
 def _run_boxdim(config, out):
     if config.tau is None:
         raise PreconditionError("boxdim needs --tau")
-    levels = config.levels or (4, 5, 6, 7)
     ratio = {} if config.band_ratio is None else {"band_ratio": config.band_ratio}
-    schedule = coupled_schedule(config.m, config.n, config.tau, levels, **ratio)
+    schedule = coupled_schedule(config.m, config.n, config.tau, config.levels, **ratio)
     report = boxdim_estimate(config.m, config.n, config.tau, schedule)
     out(
         f"slope {report.slope:.4f} (target {report.target:.4f}), "

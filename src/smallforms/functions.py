@@ -335,6 +335,12 @@ class OmegaFunction:
         t_grid = np.asarray(t_grid, dtype=float)
         return bool(np.all(self(2 * t_grid) < c_bound * self(t_grid)))
 
+    def spec(self) -> str:
+        """Shell-grammar rendering of this family (see the CLI)."""
+        if self.family == "power":
+            return f"pow:{float(self.exponent)!r},{float(self.scale)!r}"
+        return "table:<inline>"
+
 
 @dataclass(frozen=True)
 class StepOmega:

@@ -47,8 +47,8 @@ def _canonical_box(bounds):
     """Canonical nonzero q (one of each +-q) with |q_i| <= bounds[i], shape
     (P, len(bounds)), lexicographically ascending and read-only.  The only
     builder of integer boxes, so the only place the cell cap is checked."""
-    if math.prod(2 * k + 1 for k in bounds) > _BOX_CELL_CAP:
-        raise BudgetExceededError(f"integer box {tuple(bounds)} is over budget")
+    if (cells := math.prod(2 * k + 1 for k in bounds)) > _BOX_CELL_CAP:
+        raise BudgetExceededError(f"integer box {tuple(bounds)}: {cells} cells over the cap {_BOX_CELL_CAP}")
     if not bounds:
         box = np.zeros((0, 0), dtype=np.int64)
     else:
@@ -127,8 +127,8 @@ def _rounding_prior(m, height_cap, x_max, bound):
     least = _least_bound(m, height_cap, x_max)
     if least > bound:   # compared unscaled: a tiny bound must not overflow
         raise BudgetExceededError(
-            f"rounding error of the lattice basis at height {height_cap} and bound {bound:.3g} "
-            "is not small; this box question is out of reach in double precision")
+            f"bound {bound!r} at height {height_cap} is below the least bound {least!r} the "
+            "lattice basis rounds under; this box question is out of reach in double precision")
     return _ROUNDING_LIMIT * least / bound
 
 
@@ -238,8 +238,8 @@ def _coefficient_bounds(basis, U, prior):
     slack = 2 * (d + 2) * _EPS * (row_norms * dual_norms).sum(axis=1) ** 2
     if max(rho.max(), slack.max()) > _ROUNDING_LIMIT:
         raise BudgetExceededError(
-            f"rounding bound {max(rho.max(), slack.max()):.3g} of the reduced lattice bases "
-            "is not small; this box question is out of reach in double precision")
+            f"rounding bounds rho {rho.max():.3g}, slack {slack.max():.3g} of the reduced bases "
+            f"pass the limit {_ROUNDING_LIMIT}; this box question is out of reach in double precision")
     radius = math.sqrt(d) * (1.0 + prior) * (1.0 + slack) / (1.0 - rho)
     return np.floor(radius[:, None] * dual_norms).astype(np.int64)
 

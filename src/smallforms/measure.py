@@ -88,9 +88,10 @@ class ExperimentReport:
     """Reproducible record of one estimate.
 
     ``estimate`` is hits/samples with the binomial standard error
-    sqrt(p(1-p)/samples); ``params`` carries every knob needed to re-run the
-    experiment and ``parameter``/``parameter_value`` name the swept knob for
-    CSV emission.
+    sqrt(p(1-p)/samples); ``parameter``/``parameter_value`` name the swept
+    knob for CSV emission.  The estimator called again from ``params``,
+    ``seed`` and ``samples`` alone gives the same hits and params, except for
+    a table psi or omega (``table:<inline>``) or a bare callable omega (None).
     """
 
     experiment: str
@@ -181,14 +182,14 @@ def _uniform_draw(dim):
     return lambda rng, size: rng.random((size, dim)) - 0.5
 
 
-def _grid_source(dim, res, batch=_BATCH):
+def _grid_source(dim, res):
     """Midpoint-rule grid on the cube, cut into index chunks."""
     if res < 1:
         raise PreconditionError(f"grid resolution must be >= 1, got {res}")
     total = res ** dim
 
     def make(i):
-        ids = np.arange(i * batch, min((i + 1) * batch, total), dtype=np.int64)
+        ids = np.arange(i * _BATCH, min((i + 1) * _BATCH, total), dtype=np.int64)
         pts = np.empty((len(ids), dim))
         rem = ids
         for axis in range(dim - 1, -1, -1):
@@ -196,14 +197,14 @@ def _grid_source(dim, res, batch=_BATCH):
             rem = rem // res
         return pts
 
-    return _Source(total, _batch_count(total, batch), make, None, {"resolution": res},
+    return _Source(total, _batch_count(total, _BATCH), make, None, {"resolution": res},
                    {"method": "midpoint-grid"})
 
 
 _KRONECKER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
-def _kronecker_source(dim, count, batch=_BATCH):
+def _kronecker_source(dim, count):
     """Low-discrepancy Kronecker sequence x_k = frac(k alpha) - 1/2.
 
     The irrational generators frac(sqrt(p)) avoid the arithmetic alignment a
@@ -212,10 +213,10 @@ def _kronecker_source(dim, count, batch=_BATCH):
     alpha = np.array([math.sqrt(p) % 1.0 for p in _KRONECKER_PRIMES[:dim]])
 
     def make(i):
-        ks = np.arange(i * batch + 1, min((i + 1) * batch, count) + 1, dtype=np.float64)
+        ks = np.arange(i * _BATCH + 1, min((i + 1) * _BATCH, count) + 1, dtype=np.float64)
         return (ks[:, None] * alpha[None, :] + 0.5) % 1.0 - 0.5
 
-    return _Source(count, _batch_count(count, batch), make, None, {"kind": "kronecker"},
+    return _Source(count, _batch_count(count, _BATCH), make, None, {"kind": "kronecker"},
                    {"method": "kronecker"})
 
 
@@ -434,7 +435,8 @@ def _delta_t(experiment, m, n, psi, t, k, source, threads, budget):
     else:  # no integer height in [k^(t-1), k^t]: an empty union
         vecs, heights = np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
     if len(vecs) * source.points * n > budget:
-        raise BudgetExceededError("height band too large for this many points")
+        raise BudgetExceededError(f"{len(vecs)} band vectors x {source.points} points x n = {n} "
+                                  f"cells are over the scan budget {budget}")
     norms = np.linalg.norm(vecs.astype(float), axis=1)
     thr = psi.big_psi(heights.astype(float)) * norms
     return _estimate(
@@ -478,7 +480,9 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
     height_cap = math.ceil(_float_power_of_two(t) / float(omega(t))) - 1
     bound = dirichlet_bound(m, n, t)
     return _estimate(
-        "excess-height", {"m": m, "n": n, "omega_t": float(omega(t))}, "t", [t],
+        "excess-height",
+        {"m": m, "n": n, "omega": getattr(omega, "spec", lambda: None)(), "omega_t": float(omega(t))},
+        "t", [t],
         _seeded_source(samples, seed, _uniform_draw(m * n)),
         lambda b: int(_box_witness_mask(b.reshape(len(b), m, n), [(1, height_cap, bound)]).sum()),
         threads, {"height_cap": height_cap, "bound": bound},
@@ -487,6 +491,8 @@ def estimate_E_t(m, n, omega, t, samples=10_000, seed=0, threads=1) -> Experimen
 
 def _ubiquity(experiment, m, n, config, t, source, threads, ball_center, ball_radius):
     """Shared body of :func:`ubiquity_density` and :func:`ubiquity_quadrature`."""
+    if (config.m, config.n) != (m, n):
+        raise PreconditionError(f"a ({config.m}, {config.n}) ubiquity config asked at ({m}, {n})")
     center = np.zeros(m * n) if ball_center is None else np.asarray(ball_center, dtype=float)
     if center.size != m * n:
         raise PreconditionError(f"ball center must have {m * n} coordinates")
@@ -505,8 +511,8 @@ def _ubiquity(experiment, m, n, config, t, source, threads, ball_center, ball_ra
 
     return _estimate(
         experiment,
-        {"m": m, "n": n, "k": config.k, "rho_t": rho, "ball_center": tuple(center.tolist()),
-         "ball_radius": float(ball_radius)},
+        {"m": m, "n": n, "k": config.k, "omega": getattr(config.omega, "spec", lambda: None)(),
+         "rho_t": rho, "ball_center": tuple(center.tolist()), "ball_radius": float(ball_radius)},
         "t", [t], source, tester, threads, {"height_cap": height_cap},
     )[0]
 
@@ -545,22 +551,14 @@ def tail_dichotomy(m, n, psi: ApproximatingFunction, n_schedule, q_max,
         {"schedule": tuple(schedule)})
 
 
-def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16, kind="kronecker",
-                    resolution=None) -> ExperimentReport:
-    """Deterministic quadrature version of one tail-dichotomy fraction.
-
-    ``kind`` selects a midpoint grid (needs ``resolution``) or the Kronecker
-    sequence; the stderr of the report treats the point set as if binomial,
-    which is the convention used when combining errors against Monte Carlo.
+def tail_quadrature(m, n, psi, n_min, q_max, points=1 << 16) -> ExperimentReport:
+    """Deterministic version of one tail-dichotomy fraction on the first
+    ``points`` of the Kronecker sequence (a midpoint grid is no oracle here:
+    its rational midpoints have exact zeros q.x = 0 at heights up to about the
+    resolution).  The stderr treats the point set as if binomial, the
+    convention used when combining errors against Monte Carlo.
     """
-    if kind == "grid":
-        if resolution is None:
-            raise PreconditionError("grid quadrature needs a resolution")
-        source = _grid_source(m * n, resolution)
-    elif kind == "kronecker":
-        source = _kronecker_source(m * n, points)
-    else:
-        raise PreconditionError(f"unknown quadrature kind {kind!r}")
     return _estimate(
-        "tail-quadrature", {"m": m, "n": n, "psi": psi.spec(), "Q": q_max, "kind": kind}, "N",
-        [n_min], source, _nested_hits(m, n, [n_min], q_max, batch_has_witness, psi), 1, {})[0]
+        "tail-quadrature", {"m": m, "n": n, "psi": psi.spec(), "Q": q_max}, "N", [n_min],
+        _kronecker_source(m * n, points), _nested_hits(m, n, [n_min], q_max, batch_has_witness, psi),
+        1, {})[0]

@@ -503,9 +503,9 @@ class TestTruncatedCount:
 class TestBoxDimEstimate:
     def test_schedule_validation(self):
         with pytest.raises(PreconditionError):
-            boxdim_estimate(2, 1, 2.0, [(2, 0.25)])
+            boxdim_estimate(2, 1, 2.0, [(2, 0.25, 1)])
         with pytest.raises(PreconditionError):
-            boxdim_estimate(2, 1, 2.0, [(2, 0.25)] * 4)
+            boxdim_estimate(2, 1, 2.0, [(2, 0.25, 1)] * 4)
 
     def test_smoke_slope_near_target(self):
         sched = coupled_schedule(2, 1, 2.0, range(4, 9))

@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +86,12 @@ class TestSpecGrammar:
     def test_f_spec_round_trip(self, s, kappa):
         for f in (DimensionFunction.power(s), DimensionFunction.power_log(s, kappa)):
             assert parse_f(f.spec()) == f
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-3, 10), st.floats(1e-3, 1e3))
+    def test_omega_spec_round_trip(self, exponent, scale):
+        omega = OmegaFunction.power(exponent, scale)
+        assert parse_omega(omega.spec()) == omega
 
 
 class TestRunConfig:
@@ -531,3 +540,29 @@ class TestEmitPlotData:
         mixed.append(ExperimentReport("delta-t", {}, 1, 10, 5))
         with pytest.raises(PreconditionError):
             emit_plot_data(mixed, tmp_path / "x.csv", tmp_path / "x.py")
+
+
+class TestReadmeCommands:
+    """The README's command block runs as written."""
+
+    @staticmethod
+    def _commands(text):
+        """The argv lists of the fenced block that holds the CLI commands,
+        continuation lines joined."""
+        block = next(b for b in text.split("```")[1::2] if b.lstrip().startswith("smallforms "))
+        lines = block.replace("\\\n", " ").strip().splitlines()
+        return [shlex.split(line)[1:] for line in lines]
+
+    def test_readme_commands_run(self, tmp_path, monkeypatch, capsys):
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        commands = self._commands(text)
+        assert len(commands) >= 10 and {argv[0] for argv in commands} >= {
+            "search", "dirichlet", "series", "measure", "boxdim", "manifold"}
+        monkeypatch.chdir(tmp_path)
+        printed = {}
+        for argv in commands:
+            assert main(argv) == 0, argv
+            printed[argv[0]] = capsys.readouterr().out
+        stated = re.search(r"`boxdim` command\s+above reports slope (\d+\.\d+)", text).group(1)
+        slope = re.match(r"slope (\d+\.\d+) ", printed["boxdim"]).group(1)
+        assert f"{float(slope):.{len(stated.split('.')[1])}f}" == stated

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,10 +25,11 @@ from smallforms import (
     witnesses,
 )
 from smallforms import lattice, measure
-from smallforms.cli import parse_psi
+from smallforms.boxdim import boxdim_estimate, coupled_schedule, truncated_box_count
+from smallforms.cli import parse_omega, parse_psi
 from smallforms.forms import form_columns
 from smallforms.functions import OmegaFunction
-from smallforms.manifold import _sample_eta_batch, absorption_constant
+from smallforms.manifold import _sample_eta_batch, absorption_constant, gamma_dichotomy
 from smallforms.measure import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -610,6 +612,14 @@ class TestUbiquityDensity:
             ubiquity_density(2, 1, cfg, t=2, samples=10, seed=0,
                              ball_center=(0.4, 0.4), ball_radius=0.2)
 
+    def test_config_of_another_shape_is_refused(self):
+        # a (3, 2) config asked at (2, 1) would use the (3, 2) rho
+        cfg = UbiquityConfig(3, 2, OmegaFunction.power(1.0))
+        with pytest.raises(PreconditionError):
+            ubiquity_density(2, 1, cfg, 3, samples=10, seed=0)
+        with pytest.raises(PreconditionError):
+            ubiquity_quadrature(2, 1, cfg, 3, resolution=4)
+
     def test_grid_oracle_agreement_small(self):
         cfg = UbiquityConfig(2, 1, OmegaFunction.power(1.0))
         mc = ubiquity_density(2, 1, cfg, t=4, samples=20_000, seed=33,
@@ -664,8 +674,8 @@ class TestTailDichotomy:
 
 
 class TestEstimator:
-    """Every report comes from ``measure._estimate``, and a quadrature
-    report's params, with its point count, are enough to re-run it."""
+    """Every report comes from ``measure._estimate``, and every report's
+    params, with its seed and sample count, are enough to re-run it."""
 
     def test_reports_built_in_one_place(self):
         package = Path(smallforms.__file__).parent
@@ -683,36 +693,79 @@ class TestEstimator:
         assert {name for name, _ in built} == {"measure.py"}
 
     @staticmethod
-    def _rerun(rep, omega):
-        """The experiment of ``rep`` called again from its serialized params."""
-        p = json.loads(json.dumps(rep.to_json_dict()))["params"]
+    def _rerun(rep):
+        """The experiment of ``rep`` called again from its serialized params,
+        seed and sample count alone; a dichotomy report at cutoff N re-runs
+        as the one-cutoff schedule [N]."""
+        record = json.loads(json.dumps(rep.to_json_dict()))
+        p, samples = record["params"], record["samples"]
         m, n = p["m"], p["n"]
-        if rep.experiment == "delta-t-quadrature":
-            return delta_t_quadrature(m, n, parse_psi(p["psi"]), p["t"], p["k"], p["resolution"])
-        if rep.experiment == "ubiquity-quadrature":
-            return ubiquity_quadrature(m, n, UbiquityConfig(m, n, omega, p["k"]), p["t"],
-                                       p["resolution"], p["ball_center"], p["ball_radius"])
-        assert rep.experiment == "tail-quadrature"
-        return tail_quadrature(m, n, parse_psi(p["psi"]), p["N"], p["Q"], points=rep.samples,
-                               kind=p["kind"], resolution=p.get("resolution"))
+        drawn = {"samples": samples, "seed": record["seed"]}
+        psi = parse_psi(p["psi"]) if "psi" in p else None
+        omega = parse_omega(p["omega"]) if "omega" in p else None
+        window = {"ball_center": p.get("ball_center"), "ball_radius": p.get("ball_radius")}
+        return {
+            "delta-t": lambda: estimate_delta_t(m, n, psi, p["t"], p["k"], **drawn),
+            "delta-t-quadrature": lambda: delta_t_quadrature(m, n, psi, p["t"], p["k"],
+                                                             p["resolution"]),
+            "excess-height": lambda: estimate_E_t(m, n, omega, p["t"], **drawn),
+            "ubiquity-density": lambda: ubiquity_density(
+                m, n, UbiquityConfig(m, n, omega, p["k"]), p["t"], **window, **drawn),
+            "ubiquity-quadrature": lambda: ubiquity_quadrature(
+                m, n, UbiquityConfig(m, n, omega, p["k"]), p["t"], p["resolution"], **window),
+            "tail-dichotomy": lambda: tail_dichotomy(m, n, psi, [p["N"]], p["Q"], **drawn)[0],
+            "tail-quadrature": lambda: tail_quadrature(m, n, psi, p["N"], p["Q"], points=samples),
+            "gamma-dichotomy": lambda: gamma_dichotomy(m, n, psi, [p["N"]], p["Q"], **drawn)[0],
+        }[rep.experiment]()
 
     def test_quadratures_rerun_from_params(self):
+        # every estimator, the sampled ones included; the dichotomies at each
+        # cutoff of a nested schedule, which pins the nested tester
         psi = ApproximatingFunction.power(0.05, 1.5)
         omega = OmegaFunction.power(1.0, scale=0.01)
+        window = {"ball_center": (0.1, -0.2), "ball_radius": 0.25}
         reports = [
+            estimate_delta_t(2, 1, psi, 3, samples=3000, seed=1),
             delta_t_quadrature(2, 1, psi, 3, resolution=64),
-            ubiquity_quadrature(2, 1, UbiquityConfig(2, 1, omega), 3, resolution=32,
-                                ball_center=(0.1, -0.2), ball_radius=0.25),
+            estimate_E_t(3, 1, OmegaFunction.power(1.0), 6, samples=2000, seed=2),
+            ubiquity_density(2, 1, UbiquityConfig(2, 1, omega), 3, samples=3000, seed=3,
+                             **window),
+            ubiquity_quadrature(2, 1, UbiquityConfig(2, 1, omega), 3, resolution=32, **window),
+            *tail_dichotomy(2, 1, psi, (2, 4, 8, 16), 64, samples=3000, seed=4),
+            *tail_dichotomy(3, 1, ApproximatingFunction.power(0.02, 2.0), (2, 4, 8), 32,
+                            samples=2000, seed=5),
+            *tail_dichotomy(3, 2, ApproximatingFunction.power(0.1, 1.0), (2, 4), 16,
+                            samples=1000, seed=6),
             tail_quadrature(2, 1, psi, 4, 64, points=5000),
-            tail_quadrature(2, 1, psi, 4, 64, kind="grid", resolution=48),
+            *gamma_dichotomy(2, 2, ApproximatingFunction.power(0.1, 2.0), (2, 4, 8), 64,
+                             samples=2000, seed=7),
+            *gamma_dichotomy(2, 3, ApproximatingFunction.power(0.1, 1.0), (2, 4), 16,
+                             samples=1000, seed=8),
         ]
         for rep in reports:
-            again = self._rerun(rep, omega)
-            assert (again.samples, again.hits) == (rep.samples, rep.hits), rep.experiment
+            again = self._rerun(rep)
+            assert (again.seed, again.samples, again.hits) == (rep.seed, rep.samples, rep.hits), \
+                (rep.experiment, rep.params)
             assert again.params == rep.params, rep.experiment
-        assert any(0 < rep.hits < rep.samples for rep in reports)
-        assert reports[3].params["resolution"] == 48
-        assert reports[3].extras["method"] == "midpoint-grid"
+        assert len({rep.experiment for rep in reports}) == 8
+        assert all(0 < rep.hits < rep.samples for rep in reports)
+
+        report = boxdim_estimate(3, 1, 1.5, coupled_schedule(3, 1, 1.5, range(4, 8)))
+        record = json.loads(json.dumps(asdict(report)))
+        again = boxdim_estimate(record["m"], record["n"], record["tau"],
+                                [(q_max, delta, h_min) for delta, q_max, h_min, _ in record["points"]])
+        assert json.loads(json.dumps(asdict(again))) == record
+
+    def test_omega_is_recorded_by_its_spec(self):
+        omega = OmegaFunction.power(0.5, scale=2.0)
+        for rep in (estimate_E_t(3, 1, omega, 4, samples=10, seed=0),
+                    ubiquity_density(2, 1, UbiquityConfig(2, 1, omega), 2, samples=10, seed=0),
+                    ubiquity_quadrature(2, 1, UbiquityConfig(2, 1, omega), 2, resolution=4)):
+            assert rep.params["omega"] == "pow:0.5,2.0"
+            assert "omega_t" in rep.params or "rho_t" in rep.params
+        bare = estimate_E_t(3, 1, lambda t: t, 4, samples=10, seed=0)
+        assert bare.params["omega"] is None
+        assert bare.hits == estimate_E_t(3, 1, OmegaFunction.power(1.0), 4, samples=10, seed=0).hits
 
     def test_ball_center_is_python_floats(self):
         cfg = UbiquityConfig(2, 1, OmegaFunction.power(1.0))
@@ -734,3 +787,81 @@ class TestEstimator:
         csv.writer(buf, lineterminator="\n").writerows(reports_to_csv_rows([rep]))
         assert buf.getvalue().splitlines()[1] == \
             f"demo,t,2.0,0.3,{rep.stderr!r},3,10,,max-column-euclidean"
+
+
+class TestIdentities:
+    """Questions asked along different paths that agree exactly, by theory or
+    by construction: oracles that need no tolerance."""
+
+    @pytest.mark.usefixtures("lattice_only")
+    @pytest.mark.parametrize("c, tau, n_min, q_max", [(1.0, 3.0, 2, 64), (0.3, 1.5, 4, 256),
+                                                      (1.0, 2.0, 4, 32), (0.05, 2.0, 1, 1024)])
+    def test_variety_at_2_2_is_the_base_at_2_1(self, c, tau, n_min, q_max):
+        # an eta sample X = (x, a x) has |a| < 1/2, so |qX|_inf = |q.x|, and
+        # the embedding's constant is 1 at m = 2; every block is reduced, and
+        # the coefficient boxes of the two shapes differ
+        xs = _sample_eta_batch(np.random.default_rng(int(tau * 10) + n_min), 4000, 2, 2)[0]
+        psi = ApproximatingFunction.power(c, tau)
+        full = batch_has_witness(xs, psi, n_min, q_max, 1.0)
+        assert np.array_equal(full, batch_has_witness(xs[:, :, :1], psi, n_min, q_max, 1.0))
+        assert 0 < full.sum() < len(xs)
+
+    @pytest.mark.parametrize("m, n, q_max, t, rho_cap", [(2, 1, 256, 10, 64), (3, 1, 32, 7, 16),
+                                                         (2, 2, 32, 6, 16), (3, 2, 16, 6, 8)])
+    def test_row_sign_flips(self, m, n, q_max, t, rho_cap):
+        # negating row i of X (with q_i) leaves every product of
+        # form_columns bit-identical, so every engine mask is invariant
+        rng = np.random.default_rng(300 + 10 * m + n)
+        xs = rng.random((600, m, n)) - 0.5
+        psi = ApproximatingFunction.power(0.5, (m + n) / n)
+        one_block = [(1, 2 ** t - 1, dirichlet_bound(m, n, t) / 64)]
+        rho_question = _rho_question(m, 0.3 * rho_cap ** (-m / n), rho_cap)
+
+        def masks(x):
+            return (batch_has_witness(x, psi, 2, q_max), _box_witness_mask(x, one_block),
+                    _box_witness_mask(x, *rho_question))
+
+        base = masks(xs)
+        assert all(0 < mask.sum() < len(xs) for mask in base)
+        for i in range(m):
+            flipped = xs.copy()
+            flipped[:, i] *= -1
+            for mask, again in zip(base, masks(flipped)):
+                assert np.array_equal(mask, again), i
+
+    @pytest.mark.parametrize("m, n, t", [(2, 1, 12), (3, 1, 8), (3, 2, 8)])
+    def test_one_block_is_the_dyadic_blocks(self, m, n, t):
+        # the e-t question, one block (1, cap, b), against a constant
+        # threshold b walked through dyadic blocks with warm starts
+        xs = np.random.default_rng(400 + 10 * m + n).random((600, m, n)) - 0.5
+        cap, bound = 2 ** t - 1, dirichlet_bound(m, n, t) / 64
+        one = _box_witness_mask(xs, [(1, cap, bound)])
+        constant = ApproximatingFunction.power(bound, 0.0, strict=False)
+        assert np.array_equal(one, batch_has_witness(xs, constant, 1, cap))
+        assert 0 < one.sum() < len(xs)
+
+    def test_reductions_are_written_back(self):
+        # a block leaves each sample's reduction in ``start`` for the next
+        # block: a fixed point of the reduction, and not the identity
+        xs = np.random.default_rng(410).random((50, 2, 1)) - 0.5
+        start = np.tile(np.eye(2, dtype=np.int64), (50, 1, 1))
+        measure._block_witness_mask(xs, start, 1, 1000, 1e-4, None)
+        basis = lattice._box_basis(xs, 1000, 1e-4)
+        assert np.array_equal(lattice._lll_transform(basis, start), start)
+        assert not np.array_equal(start, np.tile(np.eye(2, dtype=np.int64), (50, 1, 1)))
+
+
+@pytest.mark.parametrize("refused, cap", [
+    (lambda: lattice._canonical_box((100,) * 4), lattice._BOX_CELL_CAP),
+    (lambda: estimate_delta_t(2, 1, ApproximatingFunction.power(1.0, 1.0), 8, samples=10 ** 6),
+     measure._SCAN_BUDGET),
+    (lambda: lattice._rounding_prior(2, 1 << 30, 0.5, 1e-9), lattice._least_bound(2, 1 << 30, 0.5)),
+    (lambda: estimate_E_t(3, 1, OmegaFunction.power(1.0), 18, samples=200, seed=0),
+     lattice._ROUNDING_LIMIT),
+    (lambda: truncated_box_count(2, 1, 2.0, 4, 2.0 ** -13), 12),
+    (lambda: truncated_box_count(3, 1, 2.0, 100, 0.25), 64),
+], ids=["box-cells", "scan", "least-bound", "rounding-limit", "box-level", "box-height"])
+def test_budget_refusals_name_their_cap(refused, cap):
+    with pytest.raises(BudgetExceededError) as info:
+        refused()
+    assert repr(cap) in str(info.value)
